@@ -1,0 +1,174 @@
+"""Golden artifacts: every CSV and the summary metrics of small runs, pinned.
+
+Each case runs one experiment through ``main()`` on a small grid, with and
+without ``--dump-bonds``, and compares sha256 digests of every CSV it writes
+and of the ``[metrics]`` and ``[artifacts]`` sections of ``summary.txt``.
+Wall-time lines are left out of the metrics digest. A refactor of the harness
+that should not change results must leave every digest as it is.
+"""
+
+import hashlib
+
+import pytest
+
+from pdsc.bench_cli import main
+
+CONFIGS = {
+    "tension": "size_x = 10\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\n",
+    "clamped": "size_x = 2\nsize_y = 2\nspacing = 0.25\nhorizon = 0.75\n",
+    "indent": ("size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
+               "indenter_radius = 6\ndepth_max = 1.0\ndepth_steps = 8\n"),
+    "calibrate": "",
+}
+
+GOLDEN = {
+    "calibrate-plain": {
+        "exit": 0,
+        "csv": {},
+        "metrics": "7adb8ef122c58dbc686ebc2626a510829329bd666423efaeea867aeda048970d",
+        "artifacts": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "calibrate-dump": {
+        "exit": 0,
+        "csv": {},
+        "metrics": "7adb8ef122c58dbc686ebc2626a510829329bd666423efaeea867aeda048970d",
+        "artifacts": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "clamped-plain": {
+        "exit": 0,
+        "csv": {
+            "corrected/fields.csv": "b21ad6a49b7c293928eca2e61722e2d8740003a239b42cced52752ec5652bc0c",
+            "corrected/nodes.csv": "ea2c098e136804039f789230a1214b94014af1a85a5bf9ece74d5f4d401d3c1a",
+            "fem/fields.csv": "71ea39a65e6a5dc4c41e9c7c6dc5d2bc0564d512223ee6bdd228f1795df1d264",
+            "stresses.csv": "46641499b39c1d637f84238532c45ecdafc55fff77e3c2ab78eec9279a630c6e",
+            "uncorrected/fields.csv": "41d75579af4e491fa6b59ed6ed65bd2e453f68aa4acb2e797d75a7fec791cc34",
+            "uncorrected/nodes.csv": "ea2c098e136804039f789230a1214b94014af1a85a5bf9ece74d5f4d401d3c1a",
+            "virtual_nodes/fields.csv": "583eebc67d1320f4b07b423879fd3d491858078f1d024137ff812b0f42a50f81",
+            "virtual_nodes/nodes.csv": "9f3741d16888303f016989afbe3c7c47fd7294e2621aab38313493ce6e5030e7",
+            "virtual_nodes_corrected_sides/fields.csv": "867b9515abc6e389d1671aa7d11adb324edbabd0eaebdf52fac7c6fc48dac80d",
+            "virtual_nodes_corrected_sides/nodes.csv": "9f3741d16888303f016989afbe3c7c47fd7294e2621aab38313493ce6e5030e7",
+        },
+        "metrics": "d464c687c6835472d050e9e42ddadec1205d2e210e2b021d5e12a792075f8889",
+        "artifacts": "585c6d5177f1b842b4db3f00c927cf80cdf03283071e177fd9eefc60279548d7",
+    },
+    "clamped-dump": {
+        "exit": 0,
+        "csv": {
+            "corrected/bonds.csv": "47e1a4126373176f771a915167f2a3c1a5f87cda705797d7b048cbde57d5642e",
+            "corrected/fields.csv": "b21ad6a49b7c293928eca2e61722e2d8740003a239b42cced52752ec5652bc0c",
+            "corrected/nodes.csv": "ea2c098e136804039f789230a1214b94014af1a85a5bf9ece74d5f4d401d3c1a",
+            "fem/fields.csv": "71ea39a65e6a5dc4c41e9c7c6dc5d2bc0564d512223ee6bdd228f1795df1d264",
+            "stresses.csv": "46641499b39c1d637f84238532c45ecdafc55fff77e3c2ab78eec9279a630c6e",
+            "uncorrected/bonds.csv": "7b4354b38ae84312c29d3ba23d614482ed4e51a3f5a66a21578c8a3a532a9cb7",
+            "uncorrected/fields.csv": "41d75579af4e491fa6b59ed6ed65bd2e453f68aa4acb2e797d75a7fec791cc34",
+            "uncorrected/nodes.csv": "ea2c098e136804039f789230a1214b94014af1a85a5bf9ece74d5f4d401d3c1a",
+            "virtual_nodes/bonds.csv": "eac9ea18d007a8760dc73f465c4836afe37edbd5e00dfbe502e58bcae718ccd0",
+            "virtual_nodes/fields.csv": "583eebc67d1320f4b07b423879fd3d491858078f1d024137ff812b0f42a50f81",
+            "virtual_nodes/nodes.csv": "9f3741d16888303f016989afbe3c7c47fd7294e2621aab38313493ce6e5030e7",
+            "virtual_nodes_corrected_sides/bonds.csv": "bf40d9bb4cefd0794cc27371439b1c505bbd90d313d52bbccc463a0aa0fdcff1",
+            "virtual_nodes_corrected_sides/fields.csv": "867b9515abc6e389d1671aa7d11adb324edbabd0eaebdf52fac7c6fc48dac80d",
+            "virtual_nodes_corrected_sides/nodes.csv": "9f3741d16888303f016989afbe3c7c47fd7294e2621aab38313493ce6e5030e7",
+        },
+        "metrics": "d464c687c6835472d050e9e42ddadec1205d2e210e2b021d5e12a792075f8889",
+        "artifacts": "0a839a1daa1ffce92f38ddc17dd44b5cc321217ee19f080dcbbac74d9a142cc9",
+    },
+    "indent-plain": {
+        "exit": 0,
+        "csv": {
+            "corrected/curve.csv": "6cb1e764f8a63bbf7bf5a867398d8635bb3ddd388eff008895436034ef9ccbab",
+            "corrected/fields.csv": "a28894206aa3dc64350ecbab43807346901c7c853caf2de10b9cf45556882105",
+            "fem/curve.csv": "2c32b33d32b6b96627d29696f9a4306d45391c783bc5214be6be3c106718225e",
+            "fem/fields.csv": "5e280b7600fc2a23fbe8b6ec87e055242768c107d8d50033f531e0e095ef3a87",
+            "uncorrected/curve.csv": "bfd4a00530d0ffee5d246640ab8ae5b778e8fd70f818a5d85061dec9e667b702",
+            "uncorrected/fields.csv": "ea94ca0b134ee12a422278fe92591f70fb1a4213c0322a387317005d7bd0d1ec",
+        },
+        "metrics": "27d63010abc390d101981454b93c582cbe36a00566d47363844e9daa285918cd",
+        "artifacts": "97278f3a2fd0a14e07cbe35b0f4c452707a1f18af865014837b5e9670b8e34fa",
+    },
+    "indent-dump": {
+        "exit": 0,
+        "csv": {
+            "corrected/bonds.csv": "5db5a96c0da48b30ebd08edd824198abc7b8eb170253605c92148f7692fb7d57",
+            "corrected/curve.csv": "6cb1e764f8a63bbf7bf5a867398d8635bb3ddd388eff008895436034ef9ccbab",
+            "corrected/fields.csv": "a28894206aa3dc64350ecbab43807346901c7c853caf2de10b9cf45556882105",
+            "fem/curve.csv": "2c32b33d32b6b96627d29696f9a4306d45391c783bc5214be6be3c106718225e",
+            "fem/fields.csv": "5e280b7600fc2a23fbe8b6ec87e055242768c107d8d50033f531e0e095ef3a87",
+            "uncorrected/bonds.csv": "bc8808cc239ad253bc6aff0d6106e73d282b4ed9efa1d44ac96a7f009542399e",
+            "uncorrected/curve.csv": "bfd4a00530d0ffee5d246640ab8ae5b778e8fd70f818a5d85061dec9e667b702",
+            "uncorrected/fields.csv": "ea94ca0b134ee12a422278fe92591f70fb1a4213c0322a387317005d7bd0d1ec",
+        },
+        "metrics": "27d63010abc390d101981454b93c582cbe36a00566d47363844e9daa285918cd",
+        "artifacts": "a810fcb22d196a76683fbc1c73f99fa00d5a650d7ebcbfb6dd9528e034e168ac",
+    },
+    "tension-plain": {
+        "exit": 0,
+        "csv": {
+            "corrected/errors.csv": "d87f049f7d39a92117800b2f0bc680c6f053f6e6562b4c2f8a3770a467cc562c",
+            "corrected/fields.csv": "dd647a49370f43d490954e680aeca2f3fe6fc27918d504e123224c1134252424",
+            "nodes.csv": "b3575e115bec00c5bea8ff57f63fe38e8823d05db69e21c32cc750889fbbf25e",
+            "uncorrected/errors.csv": "511164dba60b37fe1a6cdf464a9b4a65cb36381939e4314ecf82eaf2cff1ce2f",
+            "uncorrected/fields.csv": "d0cc9c6cd526fbb69d5085c0dbe21ecd1bce87367a6b78391fe592d230d2b6ce",
+        },
+        "metrics": "670094b48b36635d32b14401bc430c0a1b70c71361441fa4120ff4335c556efa",
+        "artifacts": "d94b6f59e98c738ae5381464891c61d72856cff0f329af94d8f7c3ea95b40220",
+    },
+    "tension-dump": {
+        "exit": 0,
+        "csv": {
+            "corrected/bonds.csv": "a6bfa4ecfd61ce86de9cb8d36c84008b8d974841ce972edc63f4d554e52b1d9a",
+            "corrected/errors.csv": "d87f049f7d39a92117800b2f0bc680c6f053f6e6562b4c2f8a3770a467cc562c",
+            "corrected/fields.csv": "dd647a49370f43d490954e680aeca2f3fe6fc27918d504e123224c1134252424",
+            "nodes.csv": "b3575e115bec00c5bea8ff57f63fe38e8823d05db69e21c32cc750889fbbf25e",
+            "uncorrected/bonds.csv": "f54a7c1d886dc335eb17427f29fb9a16e500cd0884864956b8b35629929b373b",
+            "uncorrected/errors.csv": "511164dba60b37fe1a6cdf464a9b4a65cb36381939e4314ecf82eaf2cff1ce2f",
+            "uncorrected/fields.csv": "d0cc9c6cd526fbb69d5085c0dbe21ecd1bce87367a6b78391fe592d230d2b6ce",
+        },
+        "metrics": "670094b48b36635d32b14401bc430c0a1b70c71361441fa4120ff4335c556efa",
+        "artifacts": "7154ece74402974924ea7c6bc82b44527ce7ac18b8b892332cdb8b974f1b05ff",
+    },
+}
+
+
+def _section(text: str, name: str) -> list[str]:
+    lines = text.splitlines()
+    start = lines.index(f"[{name}]") + 1
+    end = lines.index("", start)
+    return lines[start:end]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(out) -> dict:
+    """sha256 of every CSV under ``out`` and of the summary sections."""
+    summary = (out / "summary.txt").read_text()
+    metrics = [line for line in _section(summary, "metrics")
+               if not line.split(" = ")[0].endswith("wall_seconds")]
+    return {
+        "csv": {p.relative_to(out).as_posix(): _sha(p.read_bytes())
+                for p in sorted(out.rglob("*.csv"))},
+        "metrics": _sha("\n".join(metrics).encode()),
+        "artifacts": _sha("\n".join(_section(summary, "artifacts")).encode()),
+    }
+
+
+def run_case(tmp_path, experiment: str, dump: bool):
+    cfg = tmp_path / f"{experiment}.cfg"
+    cfg.write_text(CONFIGS[experiment])
+    out = tmp_path / "run"
+    argv = [experiment, "--config", str(cfg), "--out", str(out)]
+    code = main(argv + (["--dump-bonds"] if dump else []))
+    return code, digest(out)
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["plain", "dump"])
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+def test_artifacts_match_golden(tmp_path, capsys, experiment, dump):
+    code, got = run_case(tmp_path, experiment, dump)
+    capsys.readouterr()
+    want = GOLDEN[f"{experiment}-{'dump' if dump else 'plain'}"]
+    assert code == want["exit"]
+    assert got["csv"] == want["csv"]
+    assert got["metrics"] == want["metrics"]
+    assert got["artifacts"] == want["artifacts"]
