@@ -17,7 +17,7 @@ from .material import (
     hooke_plane_stress, discrete_hooke, effective_constants,
 )
 from .pd_core import (
-    BCSet, FieldResult, SolverFailure, assemble, solve_static,
+    BCSet, SolverFailure, assemble, solve_static,
     strain_energy_density, reaction_force, check_bond_inversion,
     run_indentation,
 )

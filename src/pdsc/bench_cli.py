@@ -12,6 +12,14 @@ file (plus CLI overrides) with plot-ready CSV artifacts per variant:
 * ``calibrate`` bulk-amplitude calibration report for both radial profiles
                 and both calibration modes.
 
+Each ``run_<name>(cfg) -> RunSummary`` is a body decorated with
+:func:`experiment`, which registers it in ``RUNNERS`` and supplies what every
+run shares: the output directory, the wall-time clock and ``summary.txt``.
+The body fills the metrics and the artifact list of a :class:`Run`, whose
+:meth:`Run.model` builds every variant's operator: the FEM reference, or a
+bond model on a lattice shared by the variants of its grid kind. Every CSV
+goes through :func:`pdsc.geometry.write_csv`.
+
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 every requested bond-model variant of ``indent`` aborted on inversion.
 """
@@ -22,13 +30,15 @@ import argparse
 import dataclasses
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import analytic, fem_ref, geometry, material, pd_core
-from .geometry import Domain, GridSpec, GeometryError
+from .geometry import BondTable, Domain, GridSpec, GeometryError, NodeSet
 from .material import ElasticParams, MaterialModel
 from .pd_core import BCSet, SolverFailure
 
@@ -64,8 +74,6 @@ class ExperimentConfig:
     depth_steps: int = 100
     calibration: str = "discrete"
     tol: float = 1e-10
-    method: str = "auto"
-    zero_tol: float = 1e-12              # symmetry-zero exclusion, mm
     out: str = "runs"
     dump_bonds: bool = False
 
@@ -81,6 +89,12 @@ class ExperimentConfig:
             raise ConfigError(f"variant(s) {bad} invalid for {self.experiment}")
         if self.spacing <= 0 or self.horizon <= 0:
             raise ConfigError("spacing and horizon must be positive")
+        if self.spacing > self.horizon:
+            raise ConfigError("spacing must not exceed the horizon: no bond would remain")
+        if self.youngs_modulus <= 0 or self.thickness <= 0:
+            raise ConfigError("youngs_modulus and thickness must be positive")
+        if self.experiment == "clamped" and self.size_y != self.size_x:
+            raise ConfigError("clamped needs a square sheet: size_y must equal size_x")
         if self.profile not in material.PROFILE_KINDS:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.calibration not in ("discrete", "continuum"):
@@ -89,29 +103,20 @@ class ExperimentConfig:
             raise ConfigError("depth_steps must be at least 1")
 
 
+# shipped defaults per experiment: size_x, size_y, spacing, horizon (mm)
+_DEFAULT_GRIDS = {
+    "tension": (50.0, 100.0, 1.0, 5.0),
+    "clamped": (4.0, 4.0, 1.0 / 6, 1.0),      # four horizons, m = 1/6
+    "indent": (40.0, 40.0, 0.25, 1.5),
+    "calibrate": (50.0, 100.0, 1.0, 5.0),
+}
+
+
 def default_config(experiment: str) -> ExperimentConfig:
-    if experiment == "tension":
-        return ExperimentConfig(
-            experiment="tension", variants=VARIANTS["tension"],
-            size_x=50.0, size_y=100.0, spacing=1.0, horizon=5.0,
-            out="runs/tension")
-    if experiment == "clamped":
-        horizon = 1.0
-        return ExperimentConfig(
-            experiment="clamped", variants=VARIANTS["clamped"],
-            size_x=4 * horizon, size_y=4 * horizon,
-            spacing=horizon / 6, horizon=horizon, out="runs/clamped")
-    if experiment == "indent":
-        return ExperimentConfig(
-            experiment="indent", variants=VARIANTS["indent"],
-            size_x=40.0, size_y=40.0, spacing=0.25, horizon=1.5,
-            out="runs/indent")
-    if experiment == "calibrate":
-        return ExperimentConfig(
-            experiment="calibrate", variants=(),
-            size_x=50.0, size_y=100.0, spacing=1.0, horizon=5.0,
-            out="runs/calibrate")
-    raise ConfigError(f"unknown experiment {experiment!r}")
+    if experiment not in _DEFAULT_GRIDS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    return ExperimentConfig(experiment, VARIANTS[experiment],
+                            *_DEFAULT_GRIDS[experiment], out=f"runs/{experiment}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -196,9 +201,6 @@ class RunSummary:
         lines.append(f"wall_seconds = {self.wall_seconds:.3f}")
         return "\n".join(lines) + "\n"
 
-    def write(self, out_dir: Path) -> None:
-        (out_dir / "summary.txt").write_text(self.to_text())
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -218,35 +220,29 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_fields_csv(path, positions, u, w, source: str) -> None:
-    with open(path, "w") as f:
-        f.write("id,x,y,ux,uy,W,source\n")
-        for k in range(len(positions)):
-            f.write(f"{k},{positions[k, 0]:.17g},{positions[k, 1]:.17g},"
-                    f"{u[k, 0]:.17g},{u[k, 1]:.17g},{w[k]:.17g},{source}\n")
+    geometry.write_csv(path, ("id", "x", "y", "ux", "uy", "W", "source"),
+                       (np.arange(len(positions)), positions[:, 0], positions[:, 1],
+                        u[:, 0], u[:, 1], w, np.full(len(positions), source)))
 
 
 def write_errors_csv(path, positions, err, included) -> None:
-    with open(path, "w") as f:
-        f.write("id,x,y,err_ux,err_uy,included_ux,included_uy\n")
-        for k in range(len(positions)):
-            f.write(f"{k},{positions[k, 0]:.17g},{positions[k, 1]:.17g},"
-                    f"{err[k, 0]:.17g},{err[k, 1]:.17g},"
-                    f"{int(included[k, 0])},{int(included[k, 1])}\n")
+    geometry.write_csv(
+        path, ("id", "x", "y", "err_ux", "err_uy", "included_ux", "included_uy"),
+        (np.arange(len(positions)), positions[:, 0], positions[:, 1],
+         err[:, 0], err[:, 1], included[:, 0].astype(int), included[:, 1].astype(int)))
 
 
 def write_curve_csv(path, depths, forces, source: str) -> None:
-    with open(path, "w") as f:
-        f.write("depth_mm,force_N,source\n")
-        f.write(f"0,0,{source}\n")
-        for d, fo in zip(depths, forces):
-            f.write(f"{d:.17g},{fo:.17g},{source}\n")
+    # every curve starts at the unloaded origin
+    geometry.write_csv(path, ("depth_mm", "force_N", "source"),
+                       (np.concatenate([[0.0], depths]), np.concatenate([[0.0], forces]),
+                        np.full(len(depths) + 1, source)))
 
 
 def write_stress_csv(path, rows) -> None:
-    with open(path, "w") as f:
-        f.write("variant,stress_mpa\n")
-        for name, s in rows:
-            f.write(f"{name},{s:.17g}\n")
+    geometry.write_csv(path, ("variant", "stress_mpa"),
+                       (np.array([name for name, _ in rows]),
+                        np.array([s for _, s in rows], dtype=float)))
 
 
 def _edge_weights(coords: np.ndarray) -> np.ndarray:
@@ -279,309 +275,310 @@ def edge_traction_loads(bcs: BCSet, node_ids: np.ndarray, positions: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Experiment scaffold
+# ---------------------------------------------------------------------------
+
+RUNNERS = {}
+
+# surfaces each bond variant corrects; the others are uncorrected
+_SURFACES = {"corrected": "all", "virtual_nodes_corrected_sides": ("-x", "+x")}
+
+
+@dataclass
+class Model:
+    """One variant's stiffness operator and what the runners read off it."""
+
+    positions: np.ndarray
+    k: sp.csr_matrix
+    energy_density: Callable[[np.ndarray], np.ndarray]   # u -> W per node
+    nodes: NodeSet | None = None       # bond models only
+    bonds: BondTable | None = None
+
+
+class Run:
+    """One experiment run: its metrics and artifacts, and each variant's model.
+
+    :meth:`model` builds the FEM reference (``fem``) or a bond model. Bond
+    models share their lattice: vertex-centred for ``uncorrected`` and
+    ``corrected``, cell-centred with virtual buffers beyond the +-y edges for
+    ``virtual_nodes*``. Each kind is built once and released before the other
+    kind is built, so one lattice is alive at a time. The first bond model
+    adds the calibration metrics; with ``dump_bonds`` each bond model writes
+    ``<variant>/bonds.csv``.
+
+    Runners drop their reference to a model when its variant is done. The
+    run holds it until the lattice kind changes or the next bond model's
+    correction field exists, so assembly reuses its memory instead of the
+    allocator returning it to the OS and faulting it back in.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.out = Path(cfg.out)
+        self.metrics = {}
+        self.artifacts = []
+        self.domain = Domain.rectangle(cfg.size_x, cfg.size_y, thickness=cfg.thickness)
+        self._virtual = self._lattice = self._material = self._model = None
+
+    def material(self) -> MaterialModel:
+        if self._material is None:
+            cfg = self.cfg
+            elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
+            self._material = MaterialModel.calibrated(
+                elastic, cfg.horizon, cfg.profile, cfg.calibration, cfg.spacing)
+            lattice = material.discrete_hooke(self._material, cfg.spacing)
+            target = material.hooke_plane_stress(elastic)
+            self.metrics["c0"] = self._material.bulk_amplitude
+            self.metrics["calibration_residual"] = abs(lattice.xxxx / target.xxxx - 1.0)
+        return self._material
+
+    def lattice(self, virtual: bool) -> tuple[NodeSet, BondTable]:
+        if self._virtual is not virtual:
+            self._lattice = self._model = None
+            spacing, domain = self.cfg.spacing, self.domain
+            if virtual:
+                nodes = geometry.build_grid(domain, GridSpec.cell_centered(domain, spacing))
+                layers = int(round(self.cfg.horizon / spacing))
+                for side in ("+y", "-y"):
+                    nodes = geometry.add_virtual_layers(nodes, domain, side, layers)
+            else:
+                nodes = geometry.build_grid(domain, GridSpec.covering(domain, spacing))
+            self._virtual = virtual
+            self._lattice = nodes, geometry.build_bonds(nodes, self.cfg.horizon)
+        return self._lattice
+
+    def model(self, variant: str) -> Model:
+        cfg = self.cfg
+        if variant == "fem":
+            mesh = fem_ref.FEMesh.from_grid(
+                self.domain, GridSpec.covering(self.domain, cfg.spacing))
+            law = fem_ref.PlaneStressLaw(cfg.youngs_modulus, thickness=cfg.thickness)
+            return Model(mesh.nodes, fem_ref.fem_assemble(mesh, law),
+                         lambda u: fem_ref.fem_energy_density(mesh, law, u))
+        nodes, bonds = self.lattice(variant.startswith("virtual_nodes"))
+        corr = material.correct_bonds(bonds, nodes, self.domain, self.material(),
+                                      _SURFACES.get(variant))
+        self._model = None
+        if cfg.dump_bonds:
+            geometry.write_bonds_csv(self.out / variant / "bonds.csv", bonds, corr)
+            self.artifacts.append(f"{variant}/bonds.csv")
+        self._model = Model(nodes.positions, pd_core.assemble(nodes, bonds, corr),
+                            lambda u: pd_core.strain_energy_density(nodes, bonds, corr, u),
+                            nodes, bonds)
+        return self._model
+
+
+def experiment(body):
+    """Register ``body(run)`` as the runner ``run_<name>(cfg) -> RunSummary``.
+
+    The runner creates the output directory with one subdirectory per
+    variant, lets ``body`` fill a fresh :class:`Run`, and times the whole run
+    into ``summary.txt``.
+    """
+    name = body.__name__.removeprefix("run_")
+
+    def runner(cfg: ExperimentConfig) -> RunSummary:
+        t0 = time.perf_counter()
+        run = Run(cfg)
+        run.out.mkdir(parents=True, exist_ok=True)
+        for variant in cfg.variants:
+            (run.out / variant).mkdir(exist_ok=True)
+        body(run)
+        summary = RunSummary(name, _config_echo(cfg), run.metrics, run.artifacts,
+                             time.perf_counter() - t0)
+        (run.out / "summary.txt").write_text(summary.to_text())
+        return summary
+
+    runner.__name__ = runner.__qualname__ = body.__name__
+    runner.__doc__ = body.__doc__
+    RUNNERS[name] = runner
+    return runner
+
+
+def _nonempty(ids: np.ndarray, what: str) -> np.ndarray:
+    if len(ids) == 0:
+        raise ConfigError(f"no lattice node on the {what}; the sheet sizes do not "
+                          "fit the spacing")
+    return ids
+
+
+def _edge_rows(positions: np.ndarray, half_y: float, spacing: float):
+    """Node ids on the y = +half_y and the y = -half_y edge."""
+    tol = 1e-7 * spacing
+    return (_nonempty(np.where(np.abs(positions[:, 1] - half_y) < tol)[0], "+y edge"),
+            _nonempty(np.where(np.abs(positions[:, 1] + half_y) < tol)[0], "-y edge"))
+
+
+# ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _pd_setup(cfg: ExperimentConfig, domain: Domain, spec: GridSpec):
-    nodes = geometry.build_grid(domain, spec)
-    bonds = geometry.build_bonds(nodes, cfg.horizon)
-    elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
-    mat = MaterialModel.calibrated(elastic, cfg.horizon, cfg.profile,
-                                   cfg.calibration, cfg.spacing)
-    return nodes, bonds, mat
-
-
-def _calibration_metrics(mat_model: MaterialModel, spacing: float) -> dict:
-    """Bulk amplitude plus the residual of the affine energy match."""
-    lattice = material.discrete_hooke(mat_model, spacing)
-    target = material.hooke_plane_stress(mat_model.elastic)
-    return {"c0": mat_model.bulk_amplitude,
-            "calibration_residual": abs(lattice.xxxx / target.xxxx - 1.0)}
-
-
-def _surfaces_for(variant: str):
-    if variant == "corrected":
-        return "all"
-    if variant == "virtual_nodes_corrected_sides":
-        return ("-x", "+x")
-    return None
-
-
-def run_tension(cfg: ExperimentConfig) -> RunSummary:
+@experiment
+def run_tension(run: Run) -> None:
     """Uniaxial traction on a rectangular sheet vs the closed-form field."""
-    t0 = time.perf_counter()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    domain = Domain.rectangle(cfg.size_x, cfg.size_y, thickness=cfg.thickness)
-    spec = GridSpec.covering(domain, cfg.spacing)
-    nodes, bonds, mat = _pd_setup(cfg, domain, spec)
-    lattice_hooke = material.discrete_hooke(mat, cfg.spacing)
+    cfg = run.cfg
+    nodes, bonds = run.lattice(virtual=False)
+    lattice_hooke = material.discrete_hooke(run.material(), cfg.spacing)
     e_eff, nu_eff = material.effective_constants(lattice_hooke)
     reference = analytic.uniaxial_solution(e_eff, nu_eff, cfg.traction)
     u_ref = reference(nodes.positions)
 
     bcs = BCSet(nodes.n)
-    top = nodes.on_side(domain, "+y")
-    bottom = nodes.on_side(domain, "-y")
+    top, bottom = _edge_rows(nodes.positions, 0.5 * cfg.size_y, cfg.spacing)
     edge_traction_loads(bcs, top, nodes.positions, 1, cfg.traction, cfg.thickness)
     edge_traction_loads(bcs, bottom, nodes.positions, 1, -cfg.traction, cfg.thickness)
     # pin rigid modes on the symmetry axis where the reference is zero anyway
     center = int(np.argmin(np.linalg.norm(nodes.positions, axis=1)))
-    axis_nodes = np.where(np.abs(nodes.positions[:, 0]) < 1e-9 * cfg.spacing)[0]
+    axis_nodes = _nonempty(
+        np.where(np.abs(nodes.positions[:, 0]) < 1e-9 * cfg.spacing)[0], "x = 0 axis")
     partner = int(axis_nodes[np.argmax(nodes.positions[axis_nodes, 1])])
     bcs.loads[center] = 0.0
     bcs.loads[partner, 0] = 0.0
     bcs.prescribe([center], ux=0.0, uy=0.0)
     bcs.prescribe([partner], ux=0.0)
 
-    metrics = {**_calibration_metrics(mat, cfg.spacing),
-               "effective_modulus": e_eff, "effective_poisson": nu_eff,
-               "nodes": nodes.n, "bonds": bonds.m}
-    geometry.write_nodes_csv(out / "nodes.csv", nodes)
-    artifacts = ["nodes.csv"]
+    metrics = run.metrics
+    metrics.update({"effective_modulus": e_eff, "effective_poisson": nu_eff,
+                    "nodes": nodes.n, "bonds": bonds.m})
+    geometry.write_nodes_csv(run.out / "nodes.csv", nodes)
+    run.artifacts.append("nodes.csv")
     for variant in cfg.variants:
-        vdir = out / variant
-        vdir.mkdir(exist_ok=True)
-        corr = material.correct_bonds(bonds, nodes, domain, mat, _surfaces_for(variant))
-        k = pd_core.assemble(nodes, bonds, corr)
-        u, diag = pd_core.solve_static(k, bcs, tol=cfg.tol, method=cfg.method)
-        result = pd_core.FieldResult(
-            u=u, energy_density=pd_core.strain_energy_density(nodes, bonds, corr, u),
-            diagnostics=diag)
-        err, included, max_err = analytic.relative_error_field(u, u_ref, cfg.zero_tol)
-        write_fields_csv(vdir / "fields.csv", nodes.positions, result.u,
-                         result.energy_density, f"pd_{variant}")
+        model = run.model(variant)
+        u, diag = pd_core.solve_static(model.k, bcs, tol=cfg.tol)
+        err, included, max_err = analytic.relative_error_field(u, u_ref)
+        vdir = run.out / variant
+        write_fields_csv(vdir / "fields.csv", nodes.positions, u,
+                         model.energy_density(u), f"pd_{variant}")
         write_errors_csv(vdir / "errors.csv", nodes.positions, err, included)
-        if cfg.dump_bonds:
-            geometry.write_bonds_csv(vdir / "bonds.csv", bonds, corr)
-            artifacts.append(f"{variant}/bonds.csv")
-        artifacts += [f"{variant}/fields.csv", f"{variant}/errors.csv"]
+        run.artifacts += [f"{variant}/fields.csv", f"{variant}/errors.csv"]
         metrics[f"{variant}.max_err_ux"] = float(max_err[0])
         metrics[f"{variant}.max_err_uy"] = float(max_err[1])
         metrics[f"{variant}.excluded_ux"] = int((~included[:, 0]).sum())
         metrics[f"{variant}.excluded_uy"] = int((~included[:, 1]).sum())
         metrics[f"{variant}.solver_iterations"] = diag.iterations
         metrics[f"{variant}.solver_residual"] = diag.residual
-    summary = RunSummary("tension", _config_echo(cfg), metrics, artifacts,
-                         time.perf_counter() - t0)
-    summary.write(out)
-    return summary
+        del model  # leave the operator to the run, which frees it (see Run)
 
 
-def _clamped_rows(positions: np.ndarray, half: float, spacing: float):
-    tol = 1e-7 * spacing
-    top = np.where(np.abs(positions[:, 1] - half) < tol)[0]
-    bottom = np.where(np.abs(positions[:, 1] + half) < tol)[0]
-    return top, bottom
-
-
-def run_clamped(cfg: ExperimentConfig) -> RunSummary:
+@experiment
+def run_clamped(run: Run) -> None:
     """Clamped-edge stretching of a square sheet vs the FEM reference."""
-    t0 = time.perf_counter()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    size = cfg.size_x
-    half = 0.5 * size
-    domain = Domain.rectangle(size, size, thickness=cfg.thickness)
+    cfg = run.cfg
+    metrics = run.metrics
+    half = 0.5 * cfg.size_x
     edge_disp = cfg.strain * half
-    metrics = {"edge_displacement": edge_disp}
-    artifacts = []
+    metrics["edge_displacement"] = edge_disp
     stresses = []
 
     for variant in cfg.variants:
-        vdir = out / variant
-        vdir.mkdir(exist_ok=True)
-        if variant == "fem":
-            spec = GridSpec.covering(domain, cfg.spacing)
-            mesh = fem_ref.FEMesh.from_grid(domain, spec)
-            law = fem_ref.PlaneStressLaw(cfg.youngs_modulus, thickness=cfg.thickness)
-            k = fem_ref.fem_assemble(mesh, law)
-            top, bottom = _clamped_rows(mesh.nodes, half, cfg.spacing)
-            bcs = BCSet(len(mesh.nodes))
-            bcs.prescribe(top, ux=0.0, uy=edge_disp)
-            bcs.prescribe(bottom, ux=0.0, uy=-edge_disp)
-            u, diag = pd_core.solve_static(k, bcs, tol=cfg.tol, method=cfg.method)
-            w = fem_ref.fem_energy_density(mesh, law, u)
-            stress = pd_core.mean_tensile_stress(
-                pd_core.reaction_force(k, u, bcs, top)[1], size, cfg.thickness)
-            positions = mesh.nodes
-            corner_peak = _near_corner(positions[np.argmax(w)], domain, cfg.spacing)
+        vdir = run.out / variant
+        virtual = variant.startswith("virtual_nodes")
+        if variant != "fem":
+            geometry.write_nodes_csv(vdir / "nodes.csv", run.lattice(virtual)[0])
+            run.artifacts.append(f"{variant}/nodes.csv")
+        model = run.model(variant)
+        positions = model.positions
+        if virtual:
+            # buffers move rigidly with the clamped surface displacement
+            vids = np.where(model.nodes.virtual_mask)[0]
+            pulled = _nonempty(vids[positions[vids, 1] > 0], "+y buffer")
+            held = _nonempty(vids[positions[vids, 1] < 0], "-y buffer")
+            metrics[f"{variant}.buffer_displacement"] = edge_disp
         else:
-            virtual = variant.startswith("virtual_nodes")
-            if virtual:
-                spec = GridSpec.cell_centered(domain, cfg.spacing)
-                nodes = geometry.build_grid(domain, spec)
-                layers = int(round(cfg.horizon / cfg.spacing))
-                nodes = geometry.add_virtual_layers(nodes, domain, "+y", layers)
-                nodes = geometry.add_virtual_layers(nodes, domain, "-y", layers)
-            else:
-                spec = GridSpec.covering(domain, cfg.spacing)
-                nodes = geometry.build_grid(domain, spec)
-            bonds = geometry.build_bonds(nodes, cfg.horizon)
-            elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
-            mat = MaterialModel.calibrated(elastic, cfg.horizon, cfg.profile,
-                                           cfg.calibration, cfg.spacing)
-            for key, val in _calibration_metrics(mat, cfg.spacing).items():
-                metrics.setdefault(key, val)
-            corr = material.correct_bonds(bonds, nodes, domain, mat,
-                                          _surfaces_for(variant))
-            k = pd_core.assemble(nodes, bonds, corr)
-            bcs = BCSet(nodes.n)
-            if virtual:
-                # buffers move rigidly with the clamped surface displacement
-                buffer_disp = cfg.strain * half
-                vids = np.where(nodes.virtual_mask)[0]
-                up = vids[nodes.positions[vids, 1] > 0]
-                down = vids[nodes.positions[vids, 1] < 0]
-                bcs.prescribe(up, ux=0.0, uy=buffer_disp)
-                bcs.prescribe(down, ux=0.0, uy=-buffer_disp)
-                pulled = up
-                metrics.setdefault(f"{variant}.buffer_displacement", buffer_disp)
-            else:
-                top, bottom = _clamped_rows(nodes.positions, half, cfg.spacing)
-                bcs.prescribe(top, ux=0.0, uy=edge_disp)
-                bcs.prescribe(bottom, ux=0.0, uy=-edge_disp)
-                pulled = top
-            u, diag = pd_core.solve_static(k, bcs, tol=cfg.tol, method=cfg.method)
-            result = pd_core.FieldResult(
-                u=u, energy_density=pd_core.strain_energy_density(nodes, bonds, corr, u),
-                diagnostics=diag, reactions=pd_core.reaction_force(k, u, bcs, pulled))
-            w = result.energy_density
-            stress = pd_core.mean_tensile_stress(result.reactions[1], size,
-                                                 cfg.thickness)
-            positions = nodes.positions
-            real = nodes.real_mask
-            metrics[f"{variant}.energy_real"] = float((w * nodes.volumes)[real].sum())
-            metrics[f"{variant}.energy_virtual"] = float((w * nodes.volumes)[~real].sum())
-            corner_peak = _near_corner(
-                positions[np.flatnonzero(real)[np.argmax(w[real])]], domain, cfg.spacing)
-            geometry.write_nodes_csv(vdir / "nodes.csv", nodes)
-            artifacts.append(f"{variant}/nodes.csv")
-            if cfg.dump_bonds:
-                geometry.write_bonds_csv(vdir / "bonds.csv", bonds, corr)
-                artifacts.append(f"{variant}/bonds.csv")
+            pulled, held = _edge_rows(positions, half, cfg.spacing)
+        bcs = BCSet(len(positions))
+        bcs.prescribe(pulled, ux=0.0, uy=edge_disp)
+        bcs.prescribe(held, ux=0.0, uy=-edge_disp)
+        u, diag = pd_core.solve_static(model.k, bcs, tol=cfg.tol)
+        w = model.energy_density(u)
+        stress = float(pd_core.mean_tensile_stress(
+            pd_core.reaction_force(model.k, u, bcs, pulled)[1], cfg.size_x, cfg.thickness))
+        real = np.ones(len(positions), dtype=bool)
+        if model.nodes is not None:
+            real = model.nodes.real_mask
+            energy = w * model.nodes.volumes
+            metrics[f"{variant}.energy_real"] = float(energy[real].sum())
+            metrics[f"{variant}.energy_virtual"] = float(energy[~real].sum())
+        peak = positions[np.flatnonzero(real)[np.argmax(w[real])]]
         write_fields_csv(vdir / "fields.csv", positions, u, w, variant)
-        artifacts.append(f"{variant}/fields.csv")
-        stresses.append((variant, float(stress)))
-        metrics[f"{variant}.tensile_stress"] = float(stress)
-        metrics[f"{variant}.corner_energy_peak"] = bool(corner_peak)
+        run.artifacts.append(f"{variant}/fields.csv")
+        stresses.append((variant, stress))
+        metrics[f"{variant}.tensile_stress"] = stress
+        metrics[f"{variant}.corner_energy_peak"] = bool(
+            np.min(np.linalg.norm(run.domain.vertices - peak, axis=1)) < 1.5 * cfg.spacing)
         metrics[f"{variant}.solver_iterations"] = diag.iterations
         metrics[f"{variant}.solver_residual"] = diag.residual
-    write_stress_csv(out / "stresses.csv", stresses)
-    artifacts.append("stresses.csv")
+        del model  # leave the operator to the run, which frees it (see Run)
+    write_stress_csv(run.out / "stresses.csv", stresses)
+    run.artifacts.append("stresses.csv")
     if "fem" in cfg.variants:
-        fem_stress = metrics["fem.tensile_stress"]
         for variant, stress in stresses:
             if variant != "fem":
-                metrics[f"{variant}.stress_vs_fem"] = stress / fem_stress
-    summary = RunSummary("clamped", _config_echo(cfg), metrics, artifacts,
-                         time.perf_counter() - t0)
-    summary.write(out)
-    return summary
+                metrics[f"{variant}.stress_vs_fem"] = stress / metrics["fem.tensile_stress"]
 
 
-def _near_corner(point: np.ndarray, domain: Domain, spacing: float) -> bool:
-    return bool(np.min(np.linalg.norm(domain.vertices - point, axis=1)) < 1.5 * spacing)
-
-
-def run_indent(cfg: ExperimentConfig) -> RunSummary:
+@experiment
+def run_indent(run: Run) -> None:
     """Circular-punch indentation: FEM reference vs bond models."""
-    t0 = time.perf_counter()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    domain = Domain.rectangle(cfg.size_x, cfg.size_y, thickness=cfg.thickness)
-    spec = GridSpec.covering(domain, cfg.spacing)
+    cfg = run.cfg
+    metrics = run.metrics
     depths = np.linspace(cfg.depth_max / cfg.depth_steps, cfg.depth_max,
                          cfg.depth_steps)
-    metrics = {"indenter_radius": cfg.indenter_radius,
-               "depth_max": cfg.depth_max, "depth_steps": cfg.depth_steps}
-    artifacts = []
+    metrics.update({"indenter_radius": cfg.indenter_radius,
+                    "depth_max": cfg.depth_max, "depth_steps": cfg.depth_steps})
     curves = {}
-    aborted = {}
 
-    pd_cache = None
     for variant in cfg.variants:
         tv = time.perf_counter()
-        vdir = out / variant
-        vdir.mkdir(exist_ok=True)
-        if variant == "fem":
-            mesh = fem_ref.FEMesh.from_grid(domain, spec)
-            law = fem_ref.PlaneStressLaw(cfg.youngs_modulus, thickness=cfg.thickness)
-            k = fem_ref.fem_assemble(mesh, law)
-            positions = mesh.nodes
-            bonds = None
-            w_of = lambda u: fem_ref.fem_energy_density(mesh, law, u)
-        else:
-            if pd_cache is None:
-                pd_cache = _pd_setup(cfg, domain, spec)
-            nodes, bonds, mat = pd_cache
-            corr = material.correct_bonds(bonds, nodes, domain, mat,
-                                          _surfaces_for(variant))
-            k = pd_core.assemble(nodes, bonds, corr)
-            positions = nodes.positions
-            for key, val in _calibration_metrics(mat, cfg.spacing).items():
-                metrics.setdefault(key, val)
-            if cfg.dump_bonds:
-                geometry.write_bonds_csv(vdir / "bonds.csv", bonds, corr)
-                artifacts.append(f"{variant}/bonds.csv")
-            w_of = lambda u, c=corr, b=bonds, nd=nodes: \
-                pd_core.strain_energy_density(nd, b, c, u)
-        tol_pos = 1e-7 * cfg.spacing
-        top_ids = np.where(np.abs(positions[:, 1] - 0.5 * cfg.size_y) < tol_pos)[0]
-        bottom_ids = np.where(np.abs(positions[:, 1] + 0.5 * cfg.size_y) < tol_pos)[0]
+        model = run.model(variant)
+        positions = model.positions
+        top_ids, bottom_ids = _edge_rows(positions, 0.5 * cfg.size_y, cfg.spacing)
         base = BCSet(len(positions))
         base.prescribe(bottom_ids, ux=0.0, uy=0.0)  # block rests on a rigid support
-        result = pd_core.run_indentation(
-            positions, k, base, top_ids, cfg.indenter_radius, depths,
-            bonds=bonds, tol=cfg.tol)
-        curves[variant] = result
-        aborted[variant] = result.failed
+        result = curves[variant] = pd_core.run_indentation(
+            positions, model.k, base, top_ids, cfg.indenter_radius, depths,
+            bonds=model.bonds, tol=cfg.tol)
+        vdir = run.out / variant
         write_curve_csv(vdir / "curve.csv", result.depths, result.forces, variant)
-        w = w_of(result.u_final)
+        w = model.energy_density(result.u_final)
         write_fields_csv(vdir / "fields.csv", positions, result.u_final, w, variant)
-        artifacts += [f"{variant}/curve.csv", f"{variant}/fields.csv"]
+        run.artifacts += [f"{variant}/curve.csv", f"{variant}/fields.csv"]
+        converged = len(result.depths) > 0
         metrics[f"{variant}.steps_converged"] = len(result.depths)
-        metrics[f"{variant}.final_depth"] = float(result.depths[-1]) if len(result.depths) else 0.0
-        metrics[f"{variant}.final_force"] = float(result.forces[-1]) if len(result.forces) else 0.0
-        metrics[f"{variant}.stuck_nodes"] = int(result.stuck_counts[-1]) if len(result.stuck_counts) else 0
+        metrics[f"{variant}.final_depth"] = float(result.depths[-1]) if converged else 0.0
+        metrics[f"{variant}.final_force"] = float(result.forces[-1]) if converged else 0.0
+        metrics[f"{variant}.stuck_nodes"] = int(result.stuck_counts[-1]) if converged else 0
         metrics[f"{variant}.aborted_on_inversion"] = bool(result.failed)
         if result.failed:
             metrics[f"{variant}.failure_depth"] = float(result.failure_depth)
             metrics[f"{variant}.inverted_bonds"] = int(len(result.inverted_bonds))
-        if len(result.depths):
+        if converged:
             peak = positions[int(np.argmax(w))]
             under = (abs(peak[0]) <= 3 * cfg.spacing
                      and peak[1] >= 0.5 * cfg.size_y - 2 * cfg.horizon)
             metrics[f"{variant}.energy_peak_under_indenter"] = bool(under)
         metrics[f"{variant}.wall_seconds"] = time.perf_counter() - tv
+        del model  # leave the operator to the run, which frees it (see Run)
 
+    pd_variants = [v for v in cfg.variants if v != "fem"]
     if "fem" in curves:
         fem = curves["fem"]
-        for variant in cfg.variants:
-            if variant == "fem" or not len(curves[variant].depths):
-                continue
-            res = curves[variant]
-            shared = min(len(res.depths), len(fem.depths))
+        for variant in pd_variants:
+            shared = min(len(curves[variant].depths), len(fem.depths))
             if shared:
-                ratio = res.forces[shared - 1] / fem.forces[shared - 1]
+                ratio = curves[variant].forces[shared - 1] / fem.forces[shared - 1]
                 metrics[f"{variant}.force_vs_fem_at_last_depth"] = float(ratio)
-    pd_variants = [v for v in cfg.variants if v != "fem"]
     metrics["all_bond_variants_aborted"] = bool(
-        pd_variants and all(aborted.get(v, False) for v in pd_variants))
-    summary = RunSummary("indent", _config_echo(cfg), metrics, artifacts,
-                         time.perf_counter() - t0)
-    summary.write(out)
-    return summary
+        pd_variants and all(curves[v].failed for v in pd_variants))
 
 
-def run_calibrate(cfg: ExperimentConfig) -> RunSummary:
+@experiment
+def run_calibrate(run: Run) -> None:
     """Report bulk amplitudes and affine energy-match residuals."""
-    t0 = time.perf_counter()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg = run.cfg
+    metrics = run.metrics
     elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
     target = material.hooke_plane_stress(elastic)
-    metrics = {}
     for kind in material.PROFILE_KINDS:
         for mode in ("continuum", "discrete"):
             c0 = material.calibrate_bulk(elastic, kind, cfg.horizon, mode, cfg.spacing)
@@ -595,18 +592,6 @@ def run_calibrate(cfg: ExperimentConfig) -> RunSummary:
                 lattice.xyxy / target.xyxy - 1.0)
         metrics[f"discrete_vs_continuum.{kind}"] = (
             metrics[f"c0.{kind}.discrete"] / metrics[f"c0.{kind}.continuum"] - 1.0)
-    summary = RunSummary("calibrate", _config_echo(cfg), metrics, [],
-                         time.perf_counter() - t0)
-    summary.write(out)
-    return summary
-
-
-RUNNERS = {
-    "tension": run_tension,
-    "clamped": run_clamped,
-    "indent": run_indent,
-    "calibrate": run_calibrate,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:

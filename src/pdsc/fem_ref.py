@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Domain, GridSpec
+from .geometry import Domain, GeometryError, GridSpec
 from .material import POISSON_BY_DIMENSION
 
 
@@ -48,7 +48,7 @@ class FEMesh:
         nx, ny = spec.counts
         pts = spec.points()
         if not np.all(domain.contains(pts, tol=1e-9 * spec.spacing)):
-            raise ValueError("grid extends outside the domain")
+            raise GeometryError("grid extends outside the domain")
         quads = []
         for iy in range(ny - 1):
             for ix in range(nx - 1):

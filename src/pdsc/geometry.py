@@ -23,7 +23,8 @@ ROLE_INTERIOR = 0
 ROLE_SURFACE = 1
 ROLE_VIRTUAL = 2
 
-ROLE_NAMES = {ROLE_INTERIOR: "interior", ROLE_SURFACE: "surface", ROLE_VIRTUAL: "virtual"}
+# indexed by role
+ROLE_NAMES = ("interior", "surface", "virtual")
 
 # axis-aligned side name -> (axis index, outward sign)
 SIDES = {"-x": (0, -1.0), "+x": (0, 1.0), "-y": (1, -1.0), "+y": (1, 1.0)}
@@ -322,11 +323,7 @@ def add_virtual_layers(nodes: NodeSet, domain: Domain, side: str, layers: int) -
 
 @dataclass
 class BondTable:
-    """Unordered node pairs within the horizon (closed ball, no self-bonds).
-
-    ``coeff`` holds the effective per-bond stiffness amplitude once the
-    material model has filled it; geometry leaves it None.
-    """
+    """Unordered node pairs within the horizon (closed ball, no self-bonds)."""
 
     i: np.ndarray         # (M,) int32, i < j
     j: np.ndarray         # (M,) int32
@@ -335,7 +332,6 @@ class BondTable:
     unit: np.ndarray      # (M, 2)
     horizon: float
     m_ratio: float        # spacing / horizon
-    coeff: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -369,12 +365,12 @@ def build_bonds(nodes: NodeSet, horizon: float) -> BondTable:
 
 def rays_boundary_distance(origins: np.ndarray, directions: np.ndarray,
                            domain: Domain, edge_indices: np.ndarray | None = None,
-                           min_dist: float | None = None,
-                           check_inside: bool = True) -> np.ndarray:
+                           min_dist: float | None = None) -> np.ndarray:
     """Distance along each ray to the first boundary crossing.
 
     Vectorized over rays: ``origins`` and ``directions`` are (M, 2) with unit
-    directions. Only the edges in ``edge_indices`` are considered (all by
+    directions; every origin must lie inside or on the domain (GeometryError
+    otherwise). Only the edges in ``edge_indices`` are considered (all by
     default), which lets callers treat selected surfaces as transparent.
     Rays that never cross an active edge get +inf. Crossings closer than
     ``min_dist`` are ignored so a ray starting exactly on the boundary does
@@ -384,7 +380,7 @@ def rays_boundary_distance(origins: np.ndarray, directions: np.ndarray,
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if min_dist is None:
         min_dist = 1e-9 * domain.diameter()
-    if check_inside and not np.all(domain.contains(origins)):
+    if not np.all(domain.contains(origins)):
         raise GeometryError("ray origin lies outside the domain")
     starts = domain.edge_starts()
     vecs = domain.edge_vectors()
@@ -423,23 +419,41 @@ def truncated_length(x, e, domain: Domain, horizon: float) -> float:
                                    np.asarray(e, float)[None, :], domain, horizon)[0])
 
 
-def write_nodes_csv(path, nodes: NodeSet) -> None:
+# rows formatted per write: bounds the string buffers of million-row tables
+_CSV_BLOCK = 4096
+_FLOAT = "%.17g".__mod__
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length array columns under a header row.
+
+    Floating columns print with ``%.17g``, which round-trips every float64;
+    integer and string columns print as they are. Rows are formatted and
+    written in blocks of ``_CSV_BLOCK``.
+    """
     with open(path, "w") as f:
-        f.write("id,x,y,volume,role\n")
-        for k in range(nodes.n):
-            f.write(f"{k},{nodes.positions[k, 0]:.17g},{nodes.positions[k, 1]:.17g},"
-                    f"{nodes.volumes[k]:.17g},{ROLE_NAMES[int(nodes.roles[k])]}\n")
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            blocks = [c[start:start + _CSV_BLOCK] for c in columns]
+            cells = [map(_FLOAT if b.dtype.kind == "f" else str, b.tolist()) for b in blocks]
+            f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def write_nodes_csv(path, nodes: NodeSet) -> None:
+    write_csv(path, ("id", "x", "y", "volume", "role"),
+              (np.arange(nodes.n), nodes.positions[:, 0], nodes.positions[:, 1],
+               nodes.volumes, np.array(ROLE_NAMES)[nodes.roles]))
 
 
 def write_bonds_csv(path, bonds: BondTable, correction=None) -> None:
-    extra = correction is not None
-    with open(path, "w") as f:
-        f.write("i,j,xi_x,xi_y,len,c_ij" + (",phi_i,phi_j" if extra else "") + "\n")
-        coeff = correction.coeff if extra else (
-            bonds.coeff if bonds.coeff is not None else np.zeros(bonds.m))
-        for k in range(bonds.m):
-            row = (f"{bonds.i[k]},{bonds.j[k]},{bonds.xi[k, 0]:.17g},"
-                   f"{bonds.xi[k, 1]:.17g},{bonds.length[k]:.17g},{coeff[k]:.17g}")
-            if extra:
-                row += f",{correction.phi_i[k]:.17g},{correction.phi_j[k]:.17g}"
-            f.write(row + "\n")
+    """Bond table dump with the per-bond coefficient and endpoint factors.
+
+    Without a correction field ``c_ij`` reads 0 and ``phi_i,phi_j`` are left out.
+    """
+    header = ["i", "j", "xi_x", "xi_y", "len", "c_ij"]
+    columns = [bonds.i, bonds.j, bonds.xi[:, 0], bonds.xi[:, 1], bonds.length,
+               np.zeros(bonds.m) if correction is None else correction.coeff]
+    if correction is not None:
+        header += ["phi_i", "phi_j"]
+        columns += [correction.phi_i, correction.phi_j]
+    write_csv(path, header, columns)

@@ -265,30 +265,19 @@ class CorrectionField:
 
 def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
                   material: MaterialModel, surfaces="all") -> CorrectionField:
-    """Fill per-bond coefficients, optionally stiffened near surfaces.
+    """Per-bond coefficients, optionally stiffened near surfaces.
 
-    ``surfaces`` selects which boundary edges truncate horizons: "all",
-    None/False (no correction anywhere), an iterable of side names like
-    ("-x", "+x"), or an array of polygon edge indices. Surfaces covered by
-    virtual-node buffers should be excluded by the caller; bonds ending on a
-    virtual node always use phi == 1 on the virtual side.
+    ``surfaces`` selects which boundary edges truncate horizons: "all", None
+    (no correction anywhere) or a sequence of side names like ("-x", "+x").
+    Surfaces covered by virtual-node buffers should be excluded by the
+    caller; bonds ending on a virtual node always use phi == 1 on the
+    virtual side.
     """
     bulk = material.bond_amplitude(bonds.length)
     phi_i = np.ones(bonds.m)
     phi_j = np.ones(bonds.m)
-    if surfaces is not None and surfaces is not False and bonds.m > 0:
-        if isinstance(surfaces, str):
-            if surfaces != "all":
-                raise ValueError("surfaces must be 'all', None, side names or edge ids")
-            edge_indices = None
-        elif isinstance(surfaces, np.ndarray):
-            edge_indices = surfaces
-        else:
-            seq = list(surfaces)
-            if seq and isinstance(seq[0], str):
-                edge_indices = domain.side_edge_indices(seq)
-            else:
-                edge_indices = np.asarray(seq, dtype=int)
+    if surfaces is not None and bonds.m > 0:
+        edge_indices = None if surfaces == "all" else domain.side_edge_indices(surfaces)
         virt = nodes.virtual_mask
         for phi, ends, signs in ((phi_i, bonds.i, 1.0), (phi_j, bonds.j, -1.0)):
             active = ~virt[ends]
@@ -306,6 +295,5 @@ def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
         if np.any(phi_i > limit) or np.any(phi_j > limit):
             raise GeometryInconsistency(
                 "truncated horizon shorter than a bond; domain and bonds disagree")
-    coeff = 0.5 * bulk * (phi_i + phi_j)
-    bonds.coeff = coeff
-    return CorrectionField(phi_i=phi_i, phi_j=phi_j, bulk=bulk, coeff=coeff)
+    return CorrectionField(phi_i=phi_i, phi_j=phi_j, bulk=bulk,
+                           coeff=0.5 * bulk * (phi_i + phi_j))

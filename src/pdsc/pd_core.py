@@ -79,17 +79,6 @@ class SolveDiagnostics:
     converged: bool
 
 
-@dataclass
-class FieldResult:
-    """Converged displacements with derived per-node quantities."""
-
-    u: np.ndarray                    # (N, 2) mm
-    energy_density: np.ndarray       # (N,) MPa
-    diagnostics: SolveDiagnostics
-    reactions: np.ndarray | None = None   # (2,) force sum over the pulled surface
-    inverted_bonds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-
 def assemble(nodes: NodeSet, bonds: BondTable,
              correction: CorrectionField) -> sp.csr_matrix:
     """Stiffness operator from per-bond coefficients (2N x 2N CSR).

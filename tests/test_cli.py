@@ -1,13 +1,18 @@
 """Config handling, artifacts, determinism and exit codes of the harness."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdsc import bench_cli
+from pdsc import analytic, bench_cli, fem_ref, geometry, material, pd_core
 from pdsc.bench_cli import (ConfigError, default_config, load_config, main,
                             read_config_file, run_calibrate, run_tension)
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_tension(out, **kw):
@@ -52,11 +57,29 @@ class TestConfig:
         assert cfg.m_ratio == pytest.approx(1 / 6)
 
     def test_repository_configs_parse(self):
-        from pathlib import Path
-        root = Path(__file__).resolve().parents[1] / "configs"
-        for f in sorted(root.glob("*.cfg")):
+        for f in sorted((ROOT / "configs").glob("*.cfg")):
             cfg = load_config(config_path=f)
             assert cfg.experiment in bench_cli.VARIANTS
+
+    @pytest.mark.parametrize("name", sorted(bench_cli.VARIANTS))
+    def test_defaults_equal_repository_configs(self, name):
+        # the acceptance tests run the defaults, the benchmark the config files
+        assert default_config(name) == load_config(
+            config_path=ROOT / "configs" / f"{name}.cfg")
+
+
+def test_benchmark_layer_table_names_exist():
+    # the benchmark wraps these attributes by name; a missing one breaks
+    # every traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    table = layers._layer_table(geometry, material, pd_core, fem_ref, analytic,
+                                bench_cli)
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _, _ in table if attr not in vars(owner)]
+    assert not missing
 
 
 class TestTensionHarness:
@@ -115,6 +138,32 @@ class TestMainExitCodes:
 
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["tension", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("experiment, text", [
+        # the loaded +y edge row falls outside the sheet
+        ("tension", "size_x = 10\nsize_y = 20\nspacing = 0.7\nhorizon = 3.0\n"),
+        # no node on the symmetry axis x = 0 to pin
+        ("tension", "size_x = 9\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\n"),
+        ("tension", "youngs_modulus = 0\n"),
+        ("calibrate", "youngs_modulus = -1\n"),
+        ("tension", "thickness = 0\n"),
+        ("tension", "spacing = 1.0\nhorizon = 0.5\n"),
+        ("clamped", "size_x = 2\nsize_y = 3\nspacing = 0.25\nhorizon = 0.75\n"),
+        # clamped rows fall outside the sheet: FEM mesh, then the bond lattice
+        ("clamped", "size_x = 2\nsize_y = 2\nspacing = 0.3\nhorizon = 0.9\n"),
+        ("clamped", "size_x = 2\nsize_y = 2\nspacing = 0.3\nhorizon = 0.9\n"
+                    "variants = corrected\n"),
+        ("indent", "size_x = 16\nsize_y = 16\nspacing = 0.7\nhorizon = 2.1\n"
+                   "depth_steps = 2\nvariants = corrected\n"),
+    ], ids=["tension-empty-edge", "tension-no-axis", "zero-modulus",
+            "negative-modulus", "zero-thickness", "spacing-over-horizon",
+            "clamped-not-square", "clamped-fem-off-grid", "clamped-empty-edge",
+            "indent-empty-edge"])
+    def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_uncorrected_indent_abort_is_4(self, tmp_path):
         p = tmp_path / "indent.cfg"

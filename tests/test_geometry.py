@@ -260,3 +260,14 @@ def test_csv_dumps(tmp_path):
     lines = (tmp_path / "bonds.csv").read_text().splitlines()
     assert lines[0].startswith("i,j,xi_x,xi_y,len,c_ij")
     assert len(lines) == bonds.m + 1
+
+
+def test_write_csv_formats_like_per_value_repr(tmp_path):
+    # column-wise output must match formatting each value on its own
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, -2.5e-300,
+                       1e300, 5e-324, 123456789.0])
+    ids = np.arange(len(values), dtype=np.int32)
+    labels = np.array(["a", "bc"] * 5)
+    geo.write_csv(tmp_path / "t.csv", ("i", "v", "s"), (ids, values, labels))
+    want = ["i,v,s"] + [f"{k},{v:.17g},{s}" for k, v, s in zip(ids, values, labels)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
