@@ -5,10 +5,18 @@ without ``--dump-bonds``, and compares sha256 digests of every CSV it writes
 and of the ``[metrics]`` and ``[artifacts]`` sections of ``summary.txt``.
 Wall-time lines are left out of the metrics digest. A refactor of the harness
 that should not change results must leave every digest as it is.
+
+A numerical change to the indentation ramp (a new factorization order, say)
+moves the last bits of the curves and so the indent digests. It is held
+instead by ``INDENT_CURVES``: the force curves of the three indent variants
+within a relative 1e-10 and the step counts, stuck-node counts and
+inversion-abort metrics exactly, on the golden config and on a deeper ramp
+whose uncorrected variant aborts.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from pdsc.bench_cli import main
@@ -129,6 +137,56 @@ GOLDEN = {
 }
 
 
+INDENT_DEEP = ("size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
+               "indenter_radius = 6\ndepth_max = 2.5\ndepth_steps = 10\n")
+
+# force per converged depth (N) and the exact ramp metrics of each variant
+INDENT_CURVES = {
+    "golden": (CONFIGS["indent"], {
+        "fem": [38.945101346029048, 83.714963815680846, 156.09210654291962,
+                228.46924927015831, 281.54625316238253, 361.25475212336107,
+                440.96325108433996, 520.6717500453193],
+        "corrected": [38.131976818604336, 83.005549831337362, 154.16496526273548,
+                      225.32438069413394, 280.11499296545355, 358.76019612538738,
+                      437.40539928532053, 516.05060244525339],
+        "uncorrected": [27.927837045717652, 64.715161965665402, 115.92038500555303,
+                        158.82872067789089, 216.78857204400305, 274.74842341011544,
+                        324.42917512342723, 388.39969485669292],
+    }, {
+        "fem.steps_converged": "8", "fem.stuck_nodes": "9",
+        "fem.aborted_on_inversion": "False",
+        "corrected.steps_converged": "8", "corrected.stuck_nodes": "9",
+        "corrected.aborted_on_inversion": "False",
+        "uncorrected.steps_converged": "8", "uncorrected.stuck_nodes": "11",
+        "uncorrected.aborted_on_inversion": "False",
+    }),
+    "deep": (INDENT_DEEP, {
+        "fem": [83.706891639447832, 201.66890378262096, 320.35657704314019,
+                493.1282089481856, 665.89984085322908, 805.82350527034839,
+                990.93515784188446, 1176.0468104134188, 1328.525631191244,
+                1525.1017692730356],
+        "corrected": [82.951107831298629, 200.11122347224449, 320.21480064885054,
+                      491.15721671245666, 662.09963277606278, 805.66239986298194,
+                      989.22684869227999, 1136.6272272674337, 1331.9148071955021,
+                      1527.2023871235713],
+        "uncorrected": [64.355802821690915, 157.57284628635588, 257.98417649602703,
+                        385.92521596255801, 499.31015574563173, 638.18222111007094,
+                        777.05428647451072, 906.16746776965999],
+    }, {
+        "fem.steps_converged": "10", "fem.stuck_nodes": "15",
+        "fem.aborted_on_inversion": "False",
+        "corrected.steps_converged": "10", "corrected.stuck_nodes": "15",
+        "corrected.aborted_on_inversion": "False",
+        "uncorrected.steps_converged": "8", "uncorrected.stuck_nodes": "15",
+        "uncorrected.aborted_on_inversion": "True",
+        "uncorrected.failure_depth": "2.25", "uncorrected.inverted_bonds": "3",
+    }),
+}
+
+_RAMP_KEYS = ("steps_converged", "stuck_nodes", "aborted_on_inversion",
+              "failure_depth", "inverted_bonds")
+
+
 def _section(text: str, name: str) -> list[str]:
     lines = text.splitlines()
     start = lines.index(f"[{name}]") + 1
@@ -172,3 +230,22 @@ def test_artifacts_match_golden(tmp_path, capsys, experiment, dump):
     assert got["csv"] == want["csv"]
     assert got["metrics"] == want["metrics"]
     assert got["artifacts"] == want["artifacts"]
+
+
+@pytest.mark.parametrize("case", sorted(INDENT_CURVES))
+def test_indent_curves_within_tolerance(tmp_path, capsys, case):
+    text, curves, ramp = INDENT_CURVES[case]
+    cfg = tmp_path / "indent.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["indent", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for variant, forces in curves.items():
+        rows = (out / variant / "curve.csv").read_text().splitlines()[2:]
+        got = [float(row.split(",")[1]) for row in rows]
+        assert len(got) == len(forces), variant
+        np.testing.assert_allclose(got, forces, rtol=1e-10, atol=0, err_msg=variant)
+    metrics = dict(line.split(" = ", 1) for line in
+                   _section((out / "summary.txt").read_text(), "metrics"))
+    assert {k: v for k, v in metrics.items()
+            if k.rsplit(".", 1)[-1] in _RAMP_KEYS} == ramp
