@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -101,6 +102,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown calibration {self.calibration!r}")
         if self.depth_steps < 1:
             raise ConfigError("depth_steps must be at least 1")
+        if self.experiment == "indent":
+            radius, depth = self.indenter_radius, self.depth_max
+            if radius <= 0 or depth <= 0 or depth > radius:
+                raise ConfigError("indent needs 0 < depth_max <= indenter_radius")
+            chord = 2.0 * np.sqrt(2.0 * radius * depth - depth * depth)
+            if chord > self.size_x:
+                raise ConfigError(f"the indenter's contact chord {chord:.6g} mm at "
+                                  f"depth_max is wider than the block ({self.size_x:.6g} mm)")
 
 
 # shipped defaults per experiment: size_x, size_y, spacing, horizon (mm)
@@ -257,21 +266,15 @@ def _edge_weights(coords: np.ndarray) -> np.ndarray:
 
 
 def edge_traction_loads(bcs: BCSet, node_ids: np.ndarray, positions: np.ndarray,
-                        axis: int, traction: float, thickness: float) -> None:
-    """Distribute a uniform traction over an axis-aligned edge's nodes.
+                        traction: float, thickness: float) -> None:
+    """Distribute a uniform y traction over the nodes of a horizontal edge.
 
     End nodes carry half weight so the resultant equals traction times the
     discrete edge length; interior nodes carry a full spacing.
     """
-    along = 1 - axis
-    order = np.argsort(positions[node_ids, along])
-    ids = np.asarray(node_ids)[order]
-    w = _edge_weights(positions[ids, along])
-    force = traction * thickness * w
-    if axis == 0:
-        bcs.add_load(ids, fx=force)
-    else:
-        bcs.add_load(ids, fy=force)
+    ids = np.asarray(node_ids)[np.argsort(positions[node_ids, 0])]
+    w = _edge_weights(positions[ids, 0])
+    bcs.add_load(ids, fy=traction * thickness * w)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +383,14 @@ def experiment(body):
     def runner(cfg: ExperimentConfig) -> RunSummary:
         t0 = time.perf_counter()
         run = Run(cfg)
-        run.out.mkdir(parents=True, exist_ok=True)
-        for variant in cfg.variants:
-            (run.out / variant).mkdir(exist_ok=True)
+        try:
+            for d in (run.out, *(run.out / v for v in cfg.variants)):
+                d.mkdir(parents=True, exist_ok=True)
+            if not os.access(run.out, os.W_OK):
+                raise PermissionError("not writable")
+        except OSError as exc:
+            raise ConfigError(f"cannot write the output directory {run.out}: "
+                              f"{exc.strerror or exc}") from exc
         body(run)
         summary = RunSummary(name, _config_echo(cfg), run.metrics, run.artifacts,
                              time.perf_counter() - t0)
@@ -425,8 +433,8 @@ def run_tension(run: Run) -> None:
 
     bcs = BCSet(nodes.n)
     top, bottom = _edge_rows(nodes.positions, 0.5 * cfg.size_y, cfg.spacing)
-    edge_traction_loads(bcs, top, nodes.positions, 1, cfg.traction, cfg.thickness)
-    edge_traction_loads(bcs, bottom, nodes.positions, 1, -cfg.traction, cfg.thickness)
+    edge_traction_loads(bcs, top, nodes.positions, cfg.traction, cfg.thickness)
+    edge_traction_loads(bcs, bottom, nodes.positions, -cfg.traction, cfg.thickness)
     # pin rigid modes on the symmetry axis where the reference is zero anyway
     center = int(np.argmin(np.linalg.norm(nodes.positions, axis=1)))
     axis_nodes = _nonempty(

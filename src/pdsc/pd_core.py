@@ -136,11 +136,63 @@ def _pcg(matvec, rhs: np.ndarray, diag: np.ndarray, tol: float,
     return x, max_iter, np.linalg.norm(r) / ref
 
 
-def _factorize(kff: sp.spmatrix):
+def _factorize(kff: sp.spmatrix, order: str = "MMD_AT_PLUS_A"):
     # symmetric-mode ordering is several times faster than the default on
     # these wide-stencil operators
-    return spla.splu(kff.tocsc(), permc_spec="MMD_AT_PLUS_A",
+    return spla.splu(kff.tocsc(), permc_spec=order,
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+# nested-dissection leaves: below this many nodes a block is not split further
+_ND_LEAF = 64
+
+
+def _operator_reach(positions: np.ndarray, k: sp.spmatrix) -> np.ndarray:
+    """Largest distance per axis between two nodes that share a stored entry.
+
+    Both dof rows of every node count: the x-x entries of a bond along y are
+    exactly zero, so the x rows alone would miss it.
+    """
+    coo = k.tocoo()
+    ni, nj = coo.row // 2, coo.col // 2
+    return np.array([np.abs(positions[ni, a] - positions[nj, a]).max(initial=0.0)
+                     for a in (0, 1)])
+
+
+def _bisect(p: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the two halves of the points ``p``; the rest is the separator.
+
+    The cut is the median of the longer axis and the separator the half-open
+    slab ``cut - r/2 <= p < cut + r/2`` of the reach ``r`` along it, so no
+    stored entry couples one half to the other.
+    """
+    axis = int(np.ptp(p[:, 1]) > np.ptp(p[:, 0]))
+    x = p[:, axis]
+    cut = np.median(x)
+    return x < cut - 0.5 * reach[axis], x >= cut + 0.5 * reach[axis]
+
+
+def nested_dissection(positions: np.ndarray, k: sp.spmatrix) -> np.ndarray:
+    """Node order of a geometric nested dissection of ``k`` (George, 1973).
+
+    The nodes are bisected recursively by :func:`_bisect`; each block orders
+    its two halves first and its separator after them. Blocks of at most
+    ``_ND_LEAF`` nodes, or that cannot be split, keep their node order.
+    """
+    reach = _operator_reach(positions, k)
+    order = []
+
+    def split(ids):
+        if len(ids) > _ND_LEAF:
+            lo, hi = _bisect(positions[ids], reach)
+            if lo.any() and hi.any():
+                split(ids[lo])
+                split(ids[hi])
+                ids = ids[~(lo | hi)]
+        order.append(ids)
+
+    split(np.arange(len(positions)))
+    return np.concatenate(order)
 
 
 def _direct(kff: sp.csr_matrix, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
@@ -228,10 +280,15 @@ def strain_energy_density(nodes: NodeSet, bonds: BondTable,
 
 def reaction_force(k: sp.csr_matrix, u: np.ndarray, bcs: BCSet,
                    node_ids: np.ndarray) -> np.ndarray:
-    """Sum of constraint residual forces (N) over the given nodes."""
-    r = (k @ u.ravel() - bcs.loads.ravel()).reshape(-1, 2)
+    """Sum of constraint residual forces (N) over the given nodes.
+
+    Only the given nodes' rows of ``k`` are multiplied; each row sums its
+    entries in stored order, as the full product would.
+    """
     ids = np.asarray(node_ids, dtype=int)
-    return r[ids].sum(axis=0)
+    rows = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
+    r = (k[rows] @ u.ravel() - bcs.loads.ravel()[rows]).reshape(-1, 2)
+    return r.sum(axis=0)
 
 
 def mean_tensile_stress(force_axial: float, width: float, thickness: float) -> float:
@@ -247,9 +304,19 @@ def check_bond_inversion(bonds: BondTable, u: np.ndarray) -> np.ndarray:
     """
     if bonds.m == 0:
         return np.empty(0, dtype=int)
-    deformed = bonds.xi + u[bonds.j] - u[bonds.i]
-    proj = deformed[:, 0] * bonds.xi[:, 0] + deformed[:, 1] * bonds.xi[:, 1]
-    return np.where(proj <= 0.0)[0]
+    # (xi + u_j - u_i) . xi in that operation order, one axis at a time:
+    # 1-D gathers from contiguous columns are cheaper than row gathers
+    def term(axis: int) -> np.ndarray:
+        ua = np.ascontiguousarray(u[:, axis])
+        xa = bonds.xi[:, axis]
+        d = xa + ua[bonds.j]
+        d -= ua[bonds.i]
+        d *= xa
+        return d
+
+    proj = term(0)
+    proj += term(1)
+    return np.flatnonzero(proj <= 0.0)
 
 
 class RampSolver:
@@ -260,15 +327,25 @@ class RampSolver:
     so each added constrained dof costs one triangular backsolve and each step
     a small dense solve. Residuals are verified against the same contract as
     :func:`solve_static` and polished by iterative refinement when needed.
+
+    The free dofs are numbered in the :func:`nested_dissection` order of the
+    nodes at ``positions`` (both dofs of a node together), and ``K_ff`` is
+    factorized in that order with no further column permutation, so the LU
+    fill is that of the dissection. Each :meth:`add_constraints` call backsolves all of its new
+    dofs at once and extends the Gram matrix by one block; the backsolved
+    columns live in a buffer that grows geometrically.
     """
 
-    def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, tol: float = 1e-10):
+    def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, positions: np.ndarray,
+                 tol: float = 1e-10):
         base_bcs.validate()
         self.k = k
         self.tol = tol
         ndof = k.shape[0]
         pres = base_bcs.prescribed_mask.ravel()
-        self.free = np.where(~pres)[0]
+        nodes = nested_dissection(positions, k)
+        dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
+        self.free = dofs[~pres[dofs]]
         self.local = np.full(ndof, -1, dtype=np.int64)
         self.local[self.free] = np.arange(len(self.free))
         self.u_base = np.zeros(ndof)
@@ -277,11 +354,16 @@ class RampSolver:
         rhs_full = self.b - k @ self.u_base
         self.rhs = rhs_full[self.free]
         kff = k[self.free][:, self.free]
-        self.lu = _factorize(kff)
+        self.lu = _factorize(kff, order="NATURAL")
         self.y = self.lu.solve(self.rhs)       # unconstrained solution, cached
-        self.cols = np.empty((len(self.free), 0))   # A^{-1} e_c per constraint
+        self._cols = np.empty((len(self.free), 0), order="F")
         self.cdofs: list[int] = []                  # free-local constrained dofs
         self.gram = np.empty((0, 0))                # S^T A^{-1} S
+
+    @property
+    def cols(self) -> np.ndarray:
+        """A^{-1} e_c per constrained dof, in attach order."""
+        return self._cols[:, :len(self.cdofs)]
 
     @property
     def constrained_dofs(self) -> np.ndarray:
@@ -289,25 +371,35 @@ class RampSolver:
             np.empty(0, dtype=int)
 
     def add_constraints(self, dofs) -> None:
-        """Register additional constrained dofs (must be base-free)."""
-        for dof in np.asarray(dofs, dtype=int):
-            c = int(self.local[dof])
-            if c < 0:
-                raise ValueError("cannot constrain a dof prescribed in the base set")
-            if c in self.cdofs:
-                continue
-            e = np.zeros(len(self.free))
-            e[c] = 1.0
-            col = self.lu.solve(e)
-            n = len(self.cdofs)
-            gram = np.empty((n + 1, n + 1))
-            gram[:n, :n] = self.gram
-            gram[:n, n] = col[self.cdofs]
-            gram[n, :n] = self.cols[c, :]
-            gram[n, n] = col[c]
-            self.gram = gram
-            self.cols = np.hstack([self.cols, col[:, None]])
-            self.cdofs.append(c)
+        """Register additional constrained dofs (must be base-free).
+
+        Every dof is checked before any state changes; dofs already
+        constrained, or repeated within the call, are registered once.
+        """
+        local = self.local[np.asarray(dofs, dtype=int)]
+        if np.any(local < 0):
+            raise ValueError("cannot constrain a dof prescribed in the base set")
+        known = set(self.cdofs)
+        new = [c for c in dict.fromkeys(local.tolist()) if c not in known]
+        if not new:
+            return
+        n, m = len(self.cdofs), len(new)
+        e = np.zeros((len(self.free), m))
+        e[new, np.arange(m)] = 1.0
+        cols = self.lu.solve(e)
+        gram = np.empty((n + m, n + m))
+        gram[:n, :n] = self.gram
+        gram[:n, n:] = cols[self.cdofs]
+        gram[n:, :n] = self.cols[new]
+        gram[n:, n:] = cols[new]
+        self.gram = gram
+        if n + m > self._cols.shape[1]:
+            grown = np.empty((len(self.free), max(2 * self._cols.shape[1], n + m)),
+                             order="F")
+            grown[:, :n] = self.cols
+            self._cols = grown
+        self._cols[:, n:n + m] = cols
+        self.cdofs += new
 
     def solve(self, values: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
         """Solve with the registered dofs held at ``values`` (attach order)."""
@@ -389,7 +481,7 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
     state = IndenterState(center_x=center_x, radius=radius, top_y=top_y)
-    solver = RampSolver(k, base_bcs, tol=tol)
+    solver = RampSolver(k, base_bcs, positions, tol=tol)
     u = np.zeros_like(positions)
     out_depths, out_forces, out_stuck, iters = [], [], [], []
     failed = False
@@ -421,9 +513,8 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
                 break
         u = u_new
         if len(state.stuck_ids) > 0:
-            bcs = base_bcs.copy()
-            bcs.prescribe(state.stuck_ids, ux=target[:, 0], uy=target[:, 1])
-            force = reaction_force(k, u, bcs, state.stuck_ids)[1]
+            # prescribing the stuck nodes leaves the loads the reaction subtracts
+            force = reaction_force(k, u, base_bcs, state.stuck_ids)[1]
         else:
             force = 0.0
         out_depths.append(float(depth))

@@ -155,15 +155,31 @@ class TestMainExitCodes:
                     "variants = corrected\n"),
         ("indent", "size_x = 16\nsize_y = 16\nspacing = 0.7\nhorizon = 2.1\n"
                    "depth_steps = 2\nvariants = corrected\n"),
+        # the indenter must fit the block
+        ("indent", "indenter_radius = 0\n"),
+        ("indent", "depth_max = 0\n"),
+        ("indent", "indenter_radius = 1\ndepth_max = 1.5\n"),
+        # contact chord 2 sqrt(2 R d - d^2) = 14.97 mm at R = 15, d = 2
+        ("indent", "size_x = 14\nsize_y = 14\nspacing = 0.5\nhorizon = 1.5\n"),
     ], ids=["tension-empty-edge", "tension-no-axis", "zero-modulus",
             "negative-modulus", "zero-thickness", "spacing-over-horizon",
             "clamped-not-square", "clamped-fem-off-grid", "clamped-empty-edge",
-            "indent-empty-edge"])
+            "indent-empty-edge", "indent-zero-radius", "indent-zero-depth",
+            "indent-depth-over-radius", "indent-chord-over-block"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
         assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+    def test_unusable_out_is_2(self, tmp_path, capsys, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if where == "existing-file" else blocker / "run"
+        assert main(["calibrate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
 
     def test_uncorrected_indent_abort_is_4(self, tmp_path):
         p = tmp_path / "indent.cfg"

@@ -90,8 +90,8 @@ class TestTractionExactness:
         tol = 1e-9
         top = np.where(np.abs(mesh.nodes[:, 1] - 10) < tol)[0]
         bottom = np.where(np.abs(mesh.nodes[:, 1] + 10) < tol)[0]
-        edge_traction_loads(bcs, top, mesh.nodes, 1, traction, law.thickness)
-        edge_traction_loads(bcs, bottom, mesh.nodes, 1, -traction, law.thickness)
+        edge_traction_loads(bcs, top, mesh.nodes, traction, law.thickness)
+        edge_traction_loads(bcs, bottom, mesh.nodes, -traction, law.thickness)
         center = int(np.argmin(np.linalg.norm(mesh.nodes, axis=1)))
         axis = np.where(np.abs(mesh.nodes[:, 0]) < tol)[0]
         partner = int(axis[np.argmax(mesh.nodes[axis, 1])])

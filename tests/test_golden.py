@@ -83,29 +83,29 @@ GOLDEN = {
     "indent-plain": {
         "exit": 0,
         "csv": {
-            "corrected/curve.csv": "6cb1e764f8a63bbf7bf5a867398d8635bb3ddd388eff008895436034ef9ccbab",
-            "corrected/fields.csv": "a28894206aa3dc64350ecbab43807346901c7c853caf2de10b9cf45556882105",
-            "fem/curve.csv": "2c32b33d32b6b96627d29696f9a4306d45391c783bc5214be6be3c106718225e",
-            "fem/fields.csv": "5e280b7600fc2a23fbe8b6ec87e055242768c107d8d50033f531e0e095ef3a87",
-            "uncorrected/curve.csv": "bfd4a00530d0ffee5d246640ab8ae5b778e8fd70f818a5d85061dec9e667b702",
-            "uncorrected/fields.csv": "ea94ca0b134ee12a422278fe92591f70fb1a4213c0322a387317005d7bd0d1ec",
+            "corrected/curve.csv": "88a32cffc6267c64b13146d493ec6a5f8a78b2467737faffe79868bce44dce3c",
+            "corrected/fields.csv": "7d1f82708b11a7abb0bb0cc8a401ddd35011899e4d4a063464eeb86a25d50dfa",
+            "fem/curve.csv": "ce18e762249ccc4d5a56ad1c2a0399feb6c66cbba392736ead14dadeb677ac93",
+            "fem/fields.csv": "44a13e416924b45bd4c9da86bedad0504334df72442b750a89c06f95f9e5c476",
+            "uncorrected/curve.csv": "068d19e63e395d4aab61dc11a8cd05ef6b04b9a07ea42aace4389b1b90a979d2",
+            "uncorrected/fields.csv": "b295f5b737a60b9dc06b743cb0a23dd4cdf06457bf54a7d43af8be535478a183",
         },
-        "metrics": "27d63010abc390d101981454b93c582cbe36a00566d47363844e9daa285918cd",
+        "metrics": "2ce5bc78f89776d9cf9b68c1f39cb18696a24378d0e6fa5e2e3287ae8b74c402",
         "artifacts": "97278f3a2fd0a14e07cbe35b0f4c452707a1f18af865014837b5e9670b8e34fa",
     },
     "indent-dump": {
         "exit": 0,
         "csv": {
             "corrected/bonds.csv": "5db5a96c0da48b30ebd08edd824198abc7b8eb170253605c92148f7692fb7d57",
-            "corrected/curve.csv": "6cb1e764f8a63bbf7bf5a867398d8635bb3ddd388eff008895436034ef9ccbab",
-            "corrected/fields.csv": "a28894206aa3dc64350ecbab43807346901c7c853caf2de10b9cf45556882105",
-            "fem/curve.csv": "2c32b33d32b6b96627d29696f9a4306d45391c783bc5214be6be3c106718225e",
-            "fem/fields.csv": "5e280b7600fc2a23fbe8b6ec87e055242768c107d8d50033f531e0e095ef3a87",
+            "corrected/curve.csv": "88a32cffc6267c64b13146d493ec6a5f8a78b2467737faffe79868bce44dce3c",
+            "corrected/fields.csv": "7d1f82708b11a7abb0bb0cc8a401ddd35011899e4d4a063464eeb86a25d50dfa",
+            "fem/curve.csv": "ce18e762249ccc4d5a56ad1c2a0399feb6c66cbba392736ead14dadeb677ac93",
+            "fem/fields.csv": "44a13e416924b45bd4c9da86bedad0504334df72442b750a89c06f95f9e5c476",
             "uncorrected/bonds.csv": "bc8808cc239ad253bc6aff0d6106e73d282b4ed9efa1d44ac96a7f009542399e",
-            "uncorrected/curve.csv": "bfd4a00530d0ffee5d246640ab8ae5b778e8fd70f818a5d85061dec9e667b702",
-            "uncorrected/fields.csv": "ea94ca0b134ee12a422278fe92591f70fb1a4213c0322a387317005d7bd0d1ec",
+            "uncorrected/curve.csv": "068d19e63e395d4aab61dc11a8cd05ef6b04b9a07ea42aace4389b1b90a979d2",
+            "uncorrected/fields.csv": "b295f5b737a60b9dc06b743cb0a23dd4cdf06457bf54a7d43af8be535478a183",
         },
-        "metrics": "27d63010abc390d101981454b93c582cbe36a00566d47363844e9daa285918cd",
+        "metrics": "2ce5bc78f89776d9cf9b68c1f39cb18696a24378d0e6fa5e2e3287ae8b74c402",
         "artifacts": "a810fcb22d196a76683fbc1c73f99fa00d5a650d7ebcbfb6dd9528e034e168ac",
     },
     "tension-plain": {

@@ -4,13 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdsc import analytic, geometry as geo, material as mat, pd_core
+from pdsc import analytic, fem_ref, geometry as geo, material as mat, pd_core
 from pdsc.analytic import AffineField
 from pdsc.geometry import Domain, GridSpec
 from pdsc.material import CorrectionField, ElasticParams, MaterialModel
 from pdsc.pd_core import BCSet, RampSolver, SolverFailure
 
 E = 1000.0
+
+
+def operator(kind):
+    """Node positions and stiffness of a bond lattice or a Q4 mesh."""
+    if kind == "bonds":
+        # taller than wide, so the first cut is across y; at an integer
+        # horizon/spacing the longest y reach is a vertical bond, whose x rows
+        # are exactly zero
+        _, nodes, _, _, _, k = small_model(nx=11, ny=14, horizon=3.0)
+        return nodes.positions, k
+    dom = Domain.rectangle(11.0, 9.0)
+    mesh = fem_ref.FEMesh.from_grid(dom, GridSpec.covering(dom, 1.0))
+    return mesh.nodes, fem_ref.fem_assemble(mesh, fem_ref.PlaneStressLaw(E))
 
 
 def small_model(nx=6, ny=6, spacing=1.0, horizon=2.5, surfaces="all"):
@@ -194,6 +207,20 @@ class TestReactions:
     def test_mean_stress_normalization(self):
         assert pd_core.mean_tensile_stress(-50.0, 50.0, 2.0) == pytest.approx(0.5)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["bonds", "q4"]))
+    def test_rows_only_equal_full_product(self, seed, kind):
+        # the reaction of a node subset is bit-identical to the sum over the
+        # full residual K u - b
+        positions, k = operator(kind)
+        rng = np.random.default_rng(seed)
+        n = len(positions)
+        u = rng.normal(size=(n, 2))
+        bcs = BCSet(n, loads=rng.normal(size=(n, 2)))
+        ids = rng.choice(n, size=rng.integers(1, n), replace=False)
+        full = (k @ u.ravel() - bcs.loads.ravel()).reshape(-1, 2)[ids].sum(axis=0)
+        assert np.array_equal(pd_core.reaction_force(k, u, bcs, ids), full)
+
 
 class TestBondInversion:
     def test_small_strain_clean(self):
@@ -211,13 +238,58 @@ class TestBondInversion:
         assert pd_core.check_bond_inversion(bonds, u).tolist() == [0]
 
 
+def _inverted_reference(bonds, u):
+    """The row-gather formula of the inversion scan, kept as the reference."""
+    deformed = bonds.xi + u[bonds.j] - u[bonds.i]
+    proj = deformed[:, 0] * bonds.xi[:, 0] + deformed[:, 1] * bonds.xi[:, 1]
+    return np.where(proj <= 0.0)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), scale=st.sampled_from([1e-3, 0.3, 1.0, 3.0]),
+       shift=st.sampled_from([0.0, 1e8, 1e17]))
+def test_inversion_scan_matches_reference(seed, scale, shift):
+    # a large rigid shift makes the rounding, and so the flagged set, depend
+    # on the order of the operations
+    _, nodes, bonds, _, _, _ = small_model(nx=7, ny=6)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(nodes.n, 2)) * scale + shift
+    # a collapsed bond: u_j - u_i = -xi, so its projection is exactly 0
+    b = int(rng.integers(bonds.m))
+    u[bonds.i[b]] = 0.0
+    u[bonds.j[b]] = -bonds.xi[b]
+    got = pd_core.check_bond_inversion(bonds, u)
+    assert b in got
+    assert np.array_equal(got, _inverted_reference(bonds, u))
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("kind", ["bonds", "q4"])
+    def test_order_is_a_permutation(self, kind):
+        positions, k = operator(kind)
+        order = pd_core.nested_dissection(positions, k)
+        assert np.array_equal(np.sort(order), np.arange(len(positions)))
+
+    @pytest.mark.parametrize("kind", ["bonds", "q4"])
+    def test_top_split_halves_are_uncoupled(self, kind):
+        positions, k = operator(kind)
+        lo, hi = pd_core._bisect(positions, pd_core._operator_reach(positions, k))
+        assert lo.any() and hi.any() and not (lo | hi).all()
+
+        def dofs(mask):
+            ids = np.flatnonzero(mask)
+            return np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
+
+        assert k.tocsr()[dofs(lo)][:, dofs(hi)].nnz == 0
+
+
 class TestRampSolver:
     def test_matches_solve_static_with_constraints(self):
         dom, nodes, bonds, m, corr, k = small_model(nx=9, ny=9)
         base = BCSet(nodes.n)
         bottom = nodes.on_side(dom, "-y")
         base.prescribe(bottom, ux=0.0, uy=0.0)
-        solver = RampSolver(k, base, tol=1e-11)
+        solver = RampSolver(k, base, nodes.positions, tol=1e-11)
         top = nodes.on_side(dom, "+y")[:3]
         dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
         solver.add_constraints(dofs)
@@ -233,9 +305,51 @@ class TestRampSolver:
         base = BCSet(nodes.n)
         base.prescribe([0], ux=0.0, uy=0.0)
         base.prescribe([1], uy=0.0)
-        solver = RampSolver(k, base)
+        solver = RampSolver(k, base, nodes.positions)
         with pytest.raises(ValueError):
             solver.add_constraints([0])
+
+    def _ramp(self):
+        dom, nodes, bonds, m, corr, k = small_model(nx=10, ny=9)
+        base = BCSet(nodes.n)
+        base.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
+        top = nodes.on_side(dom, "+y")[2:7]
+        dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
+        values = np.tile([0.002, -0.01], len(top))
+        return RampSolver(k, base, nodes.positions), dofs, values, base
+
+    def test_batches_match_single_dofs(self):
+        solver, dofs, values, _ = self._ramp()
+        solver.add_constraints(dofs)
+        u_batch, _ = solver.solve(values)
+        single = self._ramp()[0]
+        for dof in dofs:
+            single.add_constraints([dof])
+        duplicated = self._ramp()[0]
+        # repeats inside one call and across calls are registered once
+        duplicated.add_constraints(np.concatenate([dofs[:5], dofs[2:4], dofs[:1]]))
+        duplicated.add_constraints(np.concatenate([dofs[3:], dofs[:2]]))
+        for other in (single, duplicated):
+            assert np.array_equal(other.constrained_dofs, dofs)
+            assert np.array_equal(solver.constrained_dofs, dofs)
+            u, _ = other.solve(values)
+            assert np.abs(u - u_batch).max() <= 1e-12 * np.abs(u_batch).max()
+
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_rejected_batch_leaves_solver_unchanged(self, where):
+        solver, dofs, values, base = self._ramp()
+        solver.add_constraints(dofs[:4])
+        before = (solver.constrained_dofs.copy(), solver.gram.copy(),
+                  solver.cols.copy(), solver.solve(values[:4])[0])
+        prescribed = int(np.flatnonzero(base.prescribed_mask.ravel())[1])
+        batch = list(dofs[4:])
+        batch.insert(where if where >= 0 else len(batch), prescribed)
+        with pytest.raises(ValueError):
+            solver.add_constraints(batch)
+        assert np.array_equal(solver.constrained_dofs, before[0])
+        assert np.array_equal(solver.gram, before[1])
+        assert np.array_equal(solver.cols, before[2])
+        assert np.array_equal(solver.solve(values[:4])[0], before[3])
 
 
 class TestIndentationRamp:
