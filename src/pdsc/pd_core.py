@@ -322,18 +322,15 @@ def check_bond_inversion(bonds: BondTable, u: np.ndarray) -> np.ndarray:
 class RampSolver:
     """Repeated solves of one operator under a growing set of point constraints.
 
-    The stiffness is factorized once over the base free set; later constraints
-    (the stick-contact set) are enforced through a bordered Schur complement,
-    so each added constrained dof costs one triangular backsolve and each step
-    a small dense solve. Residuals are verified against the same contract as
-    :func:`solve_static` and polished by iterative refinement when needed.
-
-    The free dofs are numbered in the :func:`nested_dissection` order of the
-    nodes at ``positions`` (both dofs of a node together), and ``K_ff`` is
-    factorized in that order with no further column permutation, so the LU
-    fill is that of the dissection. Each :meth:`add_constraints` call backsolves all of its new
-    dofs at once and extends the Gram matrix by one block; the backsolved
-    columns live in a buffer that grows geometrically.
+    The stiffness is factorized once over the base free set, numbered in the
+    :func:`nested_dissection` order of the nodes at ``positions`` (both dofs
+    of a node together) with no further column permutation. Later
+    constraints (the stick-contact set) are enforced through a bordered Schur
+    complement: each :meth:`add_constraints` call backsolves all of its new
+    dofs in one multi-column solve and extends the Gram matrix by one block,
+    and each step is a small dense solve. Residuals are verified against the
+    same contract as :func:`solve_static` and polished by iterative
+    refinement when needed.
     """
 
     def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, positions: np.ndarray,
@@ -353,8 +350,7 @@ class RampSolver:
         self.b = base_bcs.loads.ravel()
         rhs_full = self.b - k @ self.u_base
         self.rhs = rhs_full[self.free]
-        kff = k[self.free][:, self.free]
-        self.lu = _factorize(kff, order="NATURAL")
+        self.lu = _factorize(k[self.free][:, self.free], order="NATURAL")
         self.y = self.lu.solve(self.rhs)       # unconstrained solution, cached
         self._cols = np.empty((len(self.free), 0), order="F")
         self.cdofs: list[int] = []                  # free-local constrained dofs

@@ -329,21 +329,21 @@ class TestRampSolver:
         # repeats inside one call and across calls are registered once
         duplicated.add_constraints(np.concatenate([dofs[:5], dofs[2:4], dofs[:1]]))
         duplicated.add_constraints(np.concatenate([dofs[3:], dofs[:2]]))
+        assert np.array_equal(solver.constrained_dofs, dofs)
         for other in (single, duplicated):
             assert np.array_equal(other.constrained_dofs, dofs)
-            assert np.array_equal(solver.constrained_dofs, dofs)
             u, _ = other.solve(values)
             assert np.abs(u - u_batch).max() <= 1e-12 * np.abs(u_batch).max()
 
-    @pytest.mark.parametrize("where", [0, 3, -1])
+    @pytest.mark.parametrize("where", [0, 3, 6])
     def test_rejected_batch_leaves_solver_unchanged(self, where):
         solver, dofs, values, base = self._ramp()
         solver.add_constraints(dofs[:4])
         before = (solver.constrained_dofs.copy(), solver.gram.copy(),
                   solver.cols.copy(), solver.solve(values[:4])[0])
         prescribed = int(np.flatnonzero(base.prescribed_mask.ravel())[1])
-        batch = list(dofs[4:])
-        batch.insert(where if where >= 0 else len(batch), prescribed)
+        batch = list(dofs[4:])   # six free dofs
+        batch.insert(where, prescribed)
         with pytest.raises(ValueError):
             solver.add_constraints(batch)
         assert np.array_equal(solver.constrained_dofs, before[0])
