@@ -12,6 +12,11 @@ instead by ``INDENT_CURVES``: the force curves of the three indent variants
 within a relative 1e-10 and the step counts, stuck-node counts and
 inversion-abort metrics exactly, on the golden config and on a deeper ramp
 whose uncorrected variant aborts.
+
+The golden tension and clamped grids are small. ``STATIC_METRICS`` holds a
+tension and a clamped run with more than 3,000 free dofs each to a relative
+1e-8 on their headline metrics (excluded counts exactly), so a change of the
+static solver is checked on the sizes the shipped configs solve.
 """
 
 import hashlib
@@ -183,6 +188,33 @@ INDENT_CURVES = {
     }),
 }
 
+# headline metrics of runs with more than 3,000 free dofs: floats to rtol
+# 1e-8, ints exactly
+STATIC_METRICS = {
+    # 31 x 61 nodes at horizon / spacing = 5, 3,779 free dofs
+    "tension": ("size_x = 30\nsize_y = 60\nspacing = 1.0\nhorizon = 5.0\n", {
+        "nodes": 1891,
+        "uncorrected.max_err_ux": 4.789973876522847,
+        "uncorrected.max_err_uy": 1.3536358428042325,
+        "uncorrected.excluded_ux": 61, "uncorrected.excluded_uy": 31,
+        "corrected.max_err_ux": 0.052601457998834054,
+        "corrected.max_err_uy": 0.048382552063007594,
+        "corrected.excluded_ux": 61, "corrected.excluded_uy": 31,
+    }),
+    # 41 x 41 nodes at m = 1/6, 3,198 free dofs (3,200 with virtual buffers)
+    "clamped": ("size_x = 6\nsize_y = 6\nspacing = 0.15\nhorizon = 0.9\n", {
+        "fem.tensile_stress": 10.319820057234017,
+        "uncorrected.tensile_stress": 5.5293220110638046,
+        "corrected.tensile_stress": 10.270548833454301,
+        "virtual_nodes.tensile_stress": 9.1371226694176766,
+        "virtual_nodes_corrected_sides.tensile_stress": 9.2722409376645611,
+        "uncorrected.stress_vs_fem": 0.53579635888978949,
+        "corrected.stress_vs_fem": 0.99522557336208806,
+        "virtual_nodes.stress_vs_fem": 0.88539554166089462,
+        "virtual_nodes_corrected_sides.stress_vs_fem": 0.89848862540630048,
+    }),
+}
+
 _RAMP_KEYS = ("steps_converged", "stuck_nodes", "aborted_on_inversion",
               "failure_depth", "inverted_bonds")
 
@@ -249,3 +281,21 @@ def test_indent_curves_within_tolerance(tmp_path, capsys, case):
                    _section((out / "summary.txt").read_text(), "metrics"))
     assert {k: v for k, v in metrics.items()
             if k.rsplit(".", 1)[-1] in _RAMP_KEYS} == ramp
+
+
+@pytest.mark.parametrize("experiment", sorted(STATIC_METRICS))
+def test_static_metrics_within_tolerance(tmp_path, capsys, experiment):
+    text, want = STATIC_METRICS[experiment]
+    cfg = tmp_path / f"{experiment}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    metrics = dict(line.split(" = ", 1) for line in
+                   _section((out / "summary.txt").read_text(), "metrics"))
+    for key, value in want.items():
+        if isinstance(value, int):
+            assert int(metrics[key]) == value, key
+        else:
+            np.testing.assert_allclose(float(metrics[key]), value, rtol=1e-8,
+                                       atol=0, err_msg=key)
