@@ -123,10 +123,15 @@ def _pcg(matvec, rhs: np.ndarray, diag: np.ndarray, tol: float,
     rz = r @ z
     for it in range(1, max_iter + 1):
         q = matvec(p)
-        alpha = rz / (p @ q)
+        pq = p @ q
+        if not pq > 0.0:
+            raise SolverFailure(f"pcg breakdown at iteration {it}: p.Kp = {pq:.3e}")
+        alpha = rz / pq
         x += alpha * p
         r -= alpha * q
         res = np.linalg.norm(r) / ref
+        if not np.isfinite(res):
+            raise SolverFailure(f"pcg breakdown at iteration {it}: residual {res}")
         if res <= tol:
             return x, it, res
         z = inv_diag * r
@@ -211,18 +216,16 @@ def _direct(kff: sp.csr_matrix, rhs: np.ndarray, tol: float) -> tuple[np.ndarray
     return x, rounds, res
 
 
-# below this many free dofs the iterative path is the cheaper default
-_PCG_AUTO_LIMIT = 3000
-
-
 def solve_static(k: sp.csr_matrix, bcs: BCSet, tol: float = 1e-10,
                  max_iter: int | None = None,
-                 method: str = "auto") -> tuple[np.ndarray, SolveDiagnostics]:
+                 method: str = "pcg") -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve K u = b with prescribed dofs eliminated.
 
     The residual contract is ||K_ff u_f - (b_f - K_fp u_p)|| / ||rhs|| <= tol;
-    failure to converge raises SolverFailure. ``method`` is "pcg", "direct",
-    or "auto" (direct factorization above a size threshold).
+    failure to converge raises SolverFailure. ``method`` is "pcg" (the
+    default, Jacobi-preconditioned conjugate gradients with at most
+    ``ceil(50 sqrt(nfree))`` iterations unless ``max_iter`` is given) or
+    "direct" (sparse LU with iterative refinement, the independent reference).
     """
     bcs.validate()
     ndof = k.shape[0]
@@ -236,8 +239,6 @@ def solve_static(k: sp.csr_matrix, bcs: BCSet, tol: float = 1e-10,
         return u.reshape(-1, 2), SolveDiagnostics("none", 0, 0.0, True)
     rhs = (b - k @ u)[free]
     kff = k[free][:, free]
-    if method == "auto":
-        method = "pcg" if nfree <= _PCG_AUTO_LIMIT else "direct"
     if method == "pcg":
         if max_iter is None:
             max_iter = int(np.ceil(50 * np.sqrt(nfree)))
@@ -472,7 +473,8 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     is solved and the bond-inversion scan (when bonds are supplied) either
     passes or aborts the ramp. The indenter force is the sum of the vertical
     reactions on the stuck set. The stuck set only ever grows, so the
-    operator is factorized once and contacts are appended incrementally.
+    operator is factorized once and contacts are appended incrementally. A
+    step whose solve stalls raises SolverFailure naming its depth.
     """
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
@@ -500,7 +502,10 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
             solver.add_constraints(
                 np.stack([2 * newly, 2 * newly + 1], axis=1).ravel())
         target = center[None, :] + state.attach_offsets - positions[state.stuck_ids]
-        u_new, diag = solver.solve(target.ravel())
+        try:
+            u_new, diag = solver.solve(target.ravel())
+        except SolverFailure as exc:
+            raise SolverFailure(f"at depth {depth:g} mm: {exc}") from exc
         if bonds is not None:
             inverted = check_bond_inversion(bonds, u_new)
             if len(inverted) > 0:

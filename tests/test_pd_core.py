@@ -1,5 +1,7 @@
 """Operator assembly, solves, energies, reactions and contact stepping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +162,31 @@ class TestSolveStatic:
         u_a, _ = pd_core.solve_static(k, bcs, method="pcg", tol=1e-12)
         u_b, _ = pd_core.solve_static(k, bcs, method="direct", tol=1e-12)
         assert np.abs(u_a - u_b).max() < 1e-8 * np.abs(u_b).max()
+
+    def test_default_is_pcg_above_old_size_limit(self):
+        # sparse LU was the default above 3,000 free dofs; it stays the
+        # reference when asked for by name
+        dom, nodes, bonds, m, corr, k = small_model(nx=40, ny=40)
+        bcs = BCSet(nodes.n)
+        bcs.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
+        bcs.add_load(nodes.on_side(dom, "+y"), fy=0.3)
+        assert (~bcs.prescribed_mask).sum() > 3000
+        u, diag = pd_core.solve_static(k, bcs)
+        u_ref, ref_diag = pd_core.solve_static(k, bcs, method="direct")
+        assert diag.method == "pcg" and ref_diag.method == "direct"
+        assert np.abs(u - u_ref).max() < 1e-8 * np.abs(u_ref).max()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0], ids=["zero", "negative-definite"])
+    def test_pcg_breakdown_fails_fast(self, scale):
+        _, nodes, _, _, _, k = small_model()
+        bcs = BCSet(nodes.n)
+        bcs.prescribe([0], ux=0.0, uy=0.0)
+        bcs.prescribe([3], uy=0.0)
+        bcs.add_load([20], fy=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="breakdown at iteration 1:"):
+                pd_core.solve_static(scale * k, bcs)
 
     def test_prescribed_and_loaded_clash_rejected(self):
         _, nodes, _, _, _, k = small_model()
@@ -399,3 +426,10 @@ class TestIndentationRamp:
         final = nodes.positions[state.stuck_ids] + res.u_final[state.stuck_ids]
         assert np.allclose(np.linalg.norm(final - state.center, axis=1), 4.0,
                            rtol=1e-9)
+
+    def test_stall_names_its_depth(self):
+        # an unreachable residual stalls the first step, which has contacts
+        nodes, bonds, k, base, top = self._setup()
+        with pytest.raises(SolverFailure, match=r"^at depth 0\.05 mm: ramp solve stalled"):
+            pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
+                                    np.array([0.05, 0.1]), bonds=bonds, tol=1e-300)
