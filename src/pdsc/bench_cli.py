@@ -88,10 +88,15 @@ class ExperimentConfig:
         bad = [v for v in self.variants if v not in VARIANTS[self.experiment]]
         if bad:
             raise ConfigError(f"variant(s) {bad} invalid for {self.experiment}")
+        bad = [f.name for f in dataclasses.fields(self)
+               if f.type == "float" and not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.spacing <= 0 or self.horizon <= 0:
             raise ConfigError("spacing and horizon must be positive")
-        if self.spacing > self.horizon:
-            raise ConfigError("spacing must not exceed the horizon: no bond would remain")
+        if self.spacing >= self.horizon:
+            raise ConfigError("the horizon must exceed the spacing: nearest-neighbour "
+                              "bonds alone carry no shear")
         if self.youngs_modulus <= 0 or self.thickness <= 0:
             raise ConfigError("youngs_modulus and thickness must be positive")
         if self.experiment == "clamped" and self.size_y != self.size_x:
@@ -104,8 +109,8 @@ class ExperimentConfig:
             raise ConfigError("depth_steps must be at least 1")
         if self.experiment == "indent":
             radius, depth = self.indenter_radius, self.depth_max
-            if radius <= 0 or depth <= 0 or depth > radius:
-                raise ConfigError("indent needs 0 < depth_max <= indenter_radius")
+            if radius <= 0 or depth <= 0 or depth >= radius:
+                raise ConfigError("indent needs 0 < depth_max < indenter_radius")
             chord = 2.0 * np.sqrt(2.0 * radius * depth - depth * depth)
             if chord > self.size_x:
                 raise ConfigError(f"the indenter's contact chord {chord:.6g} mm at "
@@ -330,6 +335,9 @@ class Run:
             self._material = MaterialModel.calibrated(
                 elastic, cfg.horizon, cfg.profile, cfg.calibration, cfg.spacing)
             lattice = material.discrete_hooke(self._material, cfg.spacing)
+            if not lattice.xyxy > 0.0:
+                raise ConfigError("the lattice has no shear stiffness: the horizon "
+                                  "must reach a diagonal neighbour with nonzero modulus")
             target = material.hooke_plane_stress(elastic)
             self.metrics["c0"] = self._material.bulk_amplitude
             self.metrics["calibration_residual"] = abs(lattice.xxxx / target.xxxx - 1.0)
@@ -573,7 +581,7 @@ def run_indent(run: Run) -> None:
         fem = curves["fem"]
         for variant in pd_variants:
             shared = min(len(curves[variant].depths), len(fem.depths))
-            if shared:
+            if shared and fem.forces[shared - 1] > 0:  # else the punch touched nothing
                 ratio = curves[variant].forces[shared - 1] / fem.forces[shared - 1]
                 metrics[f"{variant}.force_vs_fem_at_last_depth"] = float(ratio)
     metrics["all_bond_variants_aborted"] = bool(

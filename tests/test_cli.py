@@ -1,11 +1,15 @@
 """Config handling, artifacts, determinism and exit codes of the harness."""
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdsc import analytic, bench_cli, fem_ref, geometry, material, pd_core
 from pdsc.bench_cli import (ConfigError, default_config, load_config, main,
@@ -148,6 +152,9 @@ class TestMainExitCodes:
         ("calibrate", "youngs_modulus = -1\n"),
         ("tension", "thickness = 0\n"),
         ("tension", "spacing = 1.0\nhorizon = 0.5\n"),
+        # a conical micromodulus vanishes at the horizon, so the discrete
+        # calibration of a nearest-neighbour lattice divides by zero
+        ("calibrate", "spacing = 1.0\nhorizon = 1.0\n"),
         ("clamped", "size_x = 2\nsize_y = 3\nspacing = 0.25\nhorizon = 0.75\n"),
         # clamped rows fall outside the sheet: FEM mesh, then the bond lattice
         ("clamped", "size_x = 2\nsize_y = 2\nspacing = 0.3\nhorizon = 0.9\n"),
@@ -159,18 +166,45 @@ class TestMainExitCodes:
         ("indent", "indenter_radius = 0\n"),
         ("indent", "depth_max = 0\n"),
         ("indent", "indenter_radius = 1\ndepth_max = 1.5\n"),
+        # the top surface node would sit at the punch centre, with no
+        # direction to attach along
+        ("indent", "size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
+                   "indenter_radius = 1\ndepth_max = 1\ndepth_steps = 1\n"),
         # contact chord 2 sqrt(2 R d - d^2) = 14.97 mm at R = 15, d = 2
         ("indent", "size_x = 14\nsize_y = 14\nspacing = 0.5\nhorizon = 1.5\n"),
+        # every range check is false for NaN
+        ("calibrate", "spacing = nan\n"),
+        ("tension", "horizon = inf\n"),
+        ("indent", "depth_max = nan\n"),
     ], ids=["tension-empty-edge", "tension-no-axis", "zero-modulus",
             "negative-modulus", "zero-thickness", "spacing-over-horizon",
-            "clamped-not-square", "clamped-fem-off-grid", "clamped-empty-edge",
-            "indent-empty-edge", "indent-zero-radius", "indent-zero-depth",
-            "indent-depth-over-radius", "indent-chord-over-block"])
+            "spacing-at-horizon", "clamped-not-square", "clamped-fem-off-grid",
+            "clamped-empty-edge", "indent-empty-edge", "indent-zero-radius", "indent-zero-depth",
+            "indent-depth-over-radius", "indent-depth-at-radius",
+            "indent-chord-over-block",
+            "nan-spacing", "inf-horizon", "nan-depth"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
         assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("experiment, text", [
+        ("tension", "size_x = 10\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\n"),
+        ("indent", "size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
+                   "indenter_radius = 6\ndepth_max = 1.0\ndepth_steps = 8\n"
+                   "variants = corrected\n"),
+    ], ids=["tension", "indent"])
+    def test_solver_stall_is_3(self, tmp_path, capsys, experiment, text):
+        # no residual reaches 1e-300: PCG runs out of iterations, the ramp
+        # out of refinement rounds at its first depth
+        p = tmp_path / "stall.cfg"
+        p.write_text(text + "tol = 1e-300\n")
+        assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and err.count("\n") == 1
+        if experiment == "indent":
+            assert "at depth 0.125 mm" in err
 
     @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
     def test_unusable_out_is_2(self, tmp_path, capsys, where):
@@ -205,3 +239,44 @@ class TestMainExitCodes:
         assert "uncorrected.aborted_on_inversion = True" in summary
         assert "corrected.aborted_on_inversion = False" in summary
         assert code == 0
+
+
+# lengths on the grid or off it (at most 17 x 17 nodes, plus 12 rows of
+# virtual buffers in clamped), and values no range check should let through;
+# the examples are derandomized so that the suite's verdict is repeatable
+_ODD = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+
+
+def _length(lo, hi, *on_grid):
+    return st.one_of(st.sampled_from(on_grid), st.floats(lo, hi))
+
+
+_LENGTHS = {"size_x": (1.0, 8.0, 2.0, 4.0, 6.0), "size_y": (1.0, 8.0, 2.0, 4.0, 6.0),
+            "spacing": (0.5, 2.0, 0.5, 1.0), "horizon": (0.4, 3.0, 1.5, 2.0, 3.0),
+            "indenter_radius": (0.5, 8.0, 3.0, 6.0), "depth_max": (0.05, 2.0, 0.25, 1.0)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(experiment=st.sampled_from(sorted(bench_cli.VARIANTS)),
+       lengths=st.fixed_dictionaries({k: _length(*v) for k, v in _LENGTHS.items()}),
+       steps=st.integers(1, 3), profile=st.sampled_from(material.PROFILE_KINDS),
+       square=st.booleans(),
+       odd=st.none() | st.tuples(st.sampled_from(sorted(_LENGTHS)), _ODD))
+def test_main_returns_an_exit_code_on_any_small_config(
+        tmp_path_factory, experiment, lengths, steps, profile, square, odd):
+    values = {**lengths, "depth_steps": steps, "profile": profile}
+    if square:
+        values["size_y"] = values["size_x"]
+    if odd:
+        values[odd[0]] = odd[1]
+    out = tmp_path_factory.mktemp("any")
+    cfg = out / "any.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    err = io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error", RuntimeWarning)  # no silent NaN or inf
+        code = main([experiment, "--config", str(cfg), "--out", str(out / "run")])
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert err.getvalue().count("\n") == 1
