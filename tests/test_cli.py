@@ -179,10 +179,9 @@ class TestMainExitCodes:
     ], ids=["tension-empty-edge", "tension-no-axis", "zero-modulus",
             "negative-modulus", "zero-thickness", "spacing-over-horizon",
             "spacing-at-horizon", "clamped-not-square", "clamped-fem-off-grid",
-            "clamped-empty-edge", "indent-empty-edge", "indent-zero-radius", "indent-zero-depth",
-            "indent-depth-over-radius", "indent-depth-at-radius",
-            "indent-chord-over-block",
-            "nan-spacing", "inf-horizon", "nan-depth"])
+            "clamped-empty-edge", "indent-empty-edge", "indent-zero-radius",
+            "indent-zero-depth", "indent-depth-over-radius", "indent-depth-at-radius",
+            "indent-chord-over-block", "nan-spacing", "inf-horizon", "nan-depth"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
         p.write_text(text)

@@ -163,9 +163,8 @@ class TestSolveStatic:
         u_b, _ = pd_core.solve_static(k, bcs, method="direct", tol=1e-12)
         assert np.abs(u_a - u_b).max() < 1e-8 * np.abs(u_b).max()
 
-    def test_default_is_pcg_above_old_size_limit(self):
-        # sparse LU was the default above 3,000 free dofs; it stays the
-        # reference when asked for by name
+    def test_default_is_pcg_above_3000_free_dofs(self):
+        # PCG at any size; sparse LU only when asked for by name
         dom, nodes, bonds, m, corr, k = small_model(nx=40, ny=40)
         bcs = BCSet(nodes.n)
         bcs.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
