@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -325,8 +326,11 @@ class Run:
         self.out = Path(cfg.out)
         self.metrics = {}
         self.artifacts = []
-        self.domain = Domain.rectangle(cfg.size_x, cfg.size_y, thickness=cfg.thickness)
         self._virtual = self._lattice = self._material = self._model = None
+
+    @functools.cached_property
+    def domain(self) -> Domain:  # built on first use: calibrate never needs the sheet
+        return Domain.rectangle(self.cfg.size_x, self.cfg.size_y, thickness=self.cfg.thickness)
 
     def material(self) -> MaterialModel:
         if self._material is None:

@@ -11,11 +11,15 @@ before constraints. Degrees of freedom are interleaved: dof = 2*node + axis.
 
 from __future__ import annotations
 
+import resource
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrsm
 
 from .geometry import BondTable, NodeSet
 from .material import CorrectionField
@@ -141,13 +145,6 @@ def _pcg(matvec, rhs: np.ndarray, diag: np.ndarray, tol: float,
     return x, max_iter, np.linalg.norm(r) / ref
 
 
-def _factorize(kff: sp.spmatrix, order: str = "MMD_AT_PLUS_A"):
-    # symmetric-mode ordering is several times faster than the default on
-    # these wide-stencil operators
-    return spla.splu(kff.tocsc(), permc_spec=order,
-                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-
-
 # nested-dissection leaves: below this many nodes a block is not split further
 _ND_LEAF = 64
 
@@ -177,27 +174,122 @@ def _bisect(p: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x < cut - 0.5 * reach[axis], x >= cut + 0.5 * reach[axis]
 
 
-def nested_dissection(positions: np.ndarray, k: sp.spmatrix) -> np.ndarray:
-    """Node order of a geometric nested dissection of ``k`` (George, 1973).
+def nested_dissection(positions: np.ndarray, k: sp.spmatrix) -> list[tuple]:
+    """Separator tree of a geometric nested dissection of ``k`` (George, 1973).
 
-    The nodes are bisected recursively by :func:`_bisect`; each block orders
-    its two halves first and its separator after them. Blocks of at most
-    ``_ND_LEAF`` nodes, or that cannot be split, keep their node order.
+    Each block is ``(ids, children)``: the nodes are bisected recursively by
+    :func:`_bisect`, a block keeps the separator's node ids and has the
+    indices of its halves' blocks as children, so no stored entry of ``k``
+    couples them. Blocks of at most ``_ND_LEAF`` nodes, or that cannot be
+    split, are leaves with no children. The list is in postorder, each block
+    after its children: its ids, concatenated, are an elimination order.
     """
     reach = _operator_reach(positions, k)
-    order = []
+    tree = []
 
-    def split(ids):
+    def split(ids) -> int:
+        children = ()
         if len(ids) > _ND_LEAF:
             lo, hi = _bisect(positions[ids], reach)
             if lo.any() and hi.any():
-                split(ids[lo])
-                split(ids[hi])
+                children = (split(ids[lo]), split(ids[hi]))
                 ids = ids[~(lo | hi)]
-        order.append(ids)
+        tree.append((ids, children))
+        return len(tree) - 1
 
     split(np.arange(len(positions)))
-    return np.concatenate(order)
+    return tree
+
+
+def _available_memory() -> int | None:
+    """The lower of the ``RLIMIT_AS`` soft limit and ``MemAvailable``, or None."""
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    known = [] if soft == resource.RLIM_INFINITY else [soft]
+    try:
+        with open("/proc/meminfo") as fh:
+            known += [int(line.split()[1]) * 1024 for line in fh
+                      if line.startswith("MemAvailable:")]
+    except (OSError, ValueError):
+        pass
+    return min(known, default=None)
+
+
+class MultifrontalCholesky:
+    """``A = L L^T`` of an SPD matrix by dense fronts on an assembly tree.
+
+    ``sizes[t]`` consecutive unknowns belong to tree node ``t``, which comes
+    after its ``children[t]``, and no entry of ``A`` couples two children of
+    one node. Each front, its unknowns plus the later ones its subtree couples
+    to, sums its rows of ``A`` and its children's updates, is factored, and
+    passes ``F_BB - L_BI L_BI^T`` on (Duff & Reid 1983; Liu 1992). Dense
+    kernels run on scipy's BLAS only: numpy's own BLAS threads would fight it.
+    A factor that would not fit in :func:`_available_memory`, a front that is
+    not positive definite and a ``MemoryError`` raise :class:`SolverFailure`.
+    ``L.nnz`` (``U = L^T``) counts stored entries, zeros in the fronts too.
+    """
+
+    def __init__(self, a: sp.spmatrix, sizes, children):
+        a = sp.csr_matrix(a)
+        ends = np.cumsum(sizes, dtype=np.int64)
+        starts = ends - sizes
+        bounds, alive, nnz, stored, peak = [], [], 0, 0, 0
+        for s, e, kids in zip(starts, ends, children):
+            cols = a.indices[a.indptr[s]:a.indptr[e]]
+            bounds.append(np.unique(np.concatenate(
+                [cols[cols >= e]] + [bounds[c][bounds[c] >= e] for c in kids])))
+            p, b = e - s, len(bounds[-1])
+            nnz += p * (p + 1) // 2 + p * b
+            stored += p * p + p * b
+            peak = max(peak, stored + sum(alive) + (p + b) ** 2 + b * b)
+            alive[len(alive) - len(kids):] = [b * b]
+        need, have = 8 * peak, _available_memory()
+        if have is not None and need > have:
+            raise SolverFailure(f"the factor of {a.shape[0]} unknowns needs about "
+                                f"{need / 1e9:.3g} GB, more than the {have / 1e9:.3g} "
+                                "GB available")
+        self.L = self.U = SimpleNamespace(nnz=int(nnz))
+        self.fronts, updates = [], {}
+        try:
+            for t, (s, e, bnd, kids) in enumerate(zip(starts, ends, bounds, children)):
+                p, idx = e - s, np.concatenate([np.arange(s, e), bnd])
+                f = np.zeros((len(idx), len(idx)), order="F")
+                # own rows of A go in as columns: only the lower triangle is used
+                rows = a[s:e].tocoo()
+                mine = rows.col >= s
+                f[np.searchsorted(idx, rows.col[mine]), rows.row[mine]] = rows.data[mine]
+                for c in kids:
+                    # by runs of consecutive positions, few on these fronts
+                    pos, u = np.searchsorted(idx, bounds[c]), updates.pop(c)
+                    first = np.flatnonzero(np.diff(pos, prepend=-2) != 1)
+                    for i, j in zip(first, [*first[1:], len(pos)]):
+                        f[pos[i:], pos[i]:pos[i] + j - i] += u[i:, i:j]
+                if p == 0:  # a node with no unknowns passes its children's updates on
+                    updates[t] = f
+                    continue
+                try:
+                    l11 = cholesky(f[:p, :p], lower=True, check_finite=False)
+                except LinAlgError as exc:
+                    raise SolverFailure(f"the matrix is not positive definite at front "
+                                        f"{t} ({p} unknowns, {len(bnd)} boundary)") from exc
+                w = dtrsm(1.0, l11, f[p:, :p], side=1, lower=1, trans_a=1)
+                if len(bnd):
+                    updates[t] = dsyrk(-1.0, w, beta=1.0, c=f[p:, p:], lower=1)
+                self.fronts.append((s, e, bnd, l11, w))
+        except MemoryError as exc:
+            raise SolverFailure(f"out of memory factoring {a.shape[0]} unknowns") from exc
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A^{-1} b`` for one column ``(n,)`` or many ``(n, k)``."""
+        x = np.array(b, dtype=float)
+        v = x.reshape(len(x), -1)
+        for s, e, bnd, l11, w in self.fronts:
+            y = v[s:e] = solve_triangular(l11, v[s:e], lower=True, check_finite=False)
+            if len(bnd):
+                v[bnd] = dgemm(-1.0, w, y, 1.0, v[bnd])
+        for s, e, bnd, l11, w in reversed(self.fronts):
+            z = dgemm(-1.0, w, v[bnd], 1.0, v[s:e], trans_a=1) if len(bnd) else v[s:e]
+            v[s:e] = solve_triangular(l11, z, lower=True, trans="T", check_finite=False)
+        return x
 
 
 def _direct(kff: sp.csr_matrix, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
@@ -205,7 +297,10 @@ def _direct(kff: sp.csr_matrix, rhs: np.ndarray, tol: float) -> tuple[np.ndarray
     ref = np.linalg.norm(rhs)
     if ref == 0.0:
         return np.zeros_like(rhs), 0, 0.0
-    lu = _factorize(kff)
+    # symmetric-mode ordering is several times faster than the default on
+    # these wide-stencil operators
+    lu = spla.splu(kff.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
     x = lu.solve(rhs)
     res = np.linalg.norm(rhs - kff @ x) / ref
     rounds = 0
@@ -323,39 +418,41 @@ def check_bond_inversion(bonds: BondTable, u: np.ndarray) -> np.ndarray:
 class RampSolver:
     """Repeated solves of one operator under a growing set of point constraints.
 
-    The stiffness is factorized once over the base free set, numbered in the
-    :func:`nested_dissection` order of the nodes at ``positions`` (both dofs
-    of a node together) with no further column permutation. Later
+    The stiffness is factorized once over the base free set by a
+    :class:`MultifrontalCholesky` on the :func:`nested_dissection` tree of
+    the nodes at ``positions`` (both dofs of a node together). Later
     constraints (the stick-contact set) are enforced through a bordered Schur
     complement: each :meth:`add_constraints` call backsolves all of its new
     dofs in one multi-column solve and extends the Gram matrix by one block,
-    and each step is a small dense solve. Residuals are verified against the
-    same contract as :func:`solve_static` and polished by iterative
-    refinement when needed.
+    and each step solves with the Gram matrix's Cholesky factor. Residuals
+    are verified against the same contract as :func:`solve_static` and
+    polished by iterative refinement when needed.
     """
 
     def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, positions: np.ndarray,
                  tol: float = 1e-10):
         base_bcs.validate()
-        self.k = k
         self.tol = tol
         ndof = k.shape[0]
         pres = base_bcs.prescribed_mask.ravel()
-        nodes = nested_dissection(positions, k)
+        tree = nested_dissection(positions, k)
+        nodes = np.concatenate([ids for ids, _ in tree])
         dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
         self.free = dofs[~pres[dofs]]
+        # each block's free dofs are consecutive in this numbering
+        sizes = [(~pres[2 * ids]).sum() + (~pres[2 * ids + 1]).sum() for ids, _ in tree]
         self.local = np.full(ndof, -1, dtype=np.int64)
         self.local[self.free] = np.arange(len(self.free))
         self.u_base = np.zeros(ndof)
         self.u_base[pres] = base_bcs.prescribed_value.ravel()[pres]
-        self.b = base_bcs.loads.ravel()
-        rhs_full = self.b - k @ self.u_base
-        self.rhs = rhs_full[self.free]
-        self.lu = _factorize(k[self.free][:, self.free], order="NATURAL")
+        self.rhs = (base_bcs.loads.ravel() - k @ self.u_base)[self.free]
+        self.kff = k[self.free][:, self.free]
+        self.lu = MultifrontalCholesky(self.kff, sizes, [kids for _, kids in tree])
         self.y = self.lu.solve(self.rhs)       # unconstrained solution, cached
         self._cols = np.empty((len(self.free), 0), order="F")
         self.cdofs: list[int] = []                  # free-local constrained dofs
         self.gram = np.empty((0, 0))                # S^T A^{-1} S
+        self._gram_factor = None                    # cho_factor of gram
 
     @property
     def cols(self) -> np.ndarray:
@@ -370,8 +467,8 @@ class RampSolver:
     def add_constraints(self, dofs) -> None:
         """Register additional constrained dofs (must be base-free).
 
-        Every dof is checked before any state changes; dofs already
-        constrained, or repeated within the call, are registered once.
+        Every dof is checked and the new Gram matrix factored before any
+        state changes; repeated or already constrained dofs count once.
         """
         local = self.local[np.asarray(dofs, dtype=int)]
         if np.any(local < 0):
@@ -389,7 +486,12 @@ class RampSolver:
         gram[:n, n:] = cols[self.cdofs]
         gram[n:, :n] = self.cols[new]
         gram[n:, n:] = cols[new]
-        self.gram = gram
+        try:
+            factor = cho_factor(gram, check_finite=False)
+        except LinAlgError as exc:
+            raise SolverFailure(f"the Gram matrix of {n + m} contact dofs is not "
+                                "positive definite") from exc
+        self.gram, self._gram_factor = gram, factor
         if n + m > self._cols.shape[1]:
             grown = np.empty((len(self.free), max(2 * self._cols.shape[1], n + m)),
                              order="F")
@@ -402,12 +504,11 @@ class RampSolver:
         """Solve with the registered dofs held at ``values`` (attach order)."""
         uf = self.y.copy()
         if self.cdofs:
-            g = np.asarray(values, dtype=float)
-            lam = np.linalg.solve(self.gram, uf[self.cdofs] - g)
-            uf -= self.cols @ lam
+            lam = cho_solve(self._gram_factor, uf[self.cdofs] - np.asarray(values, dtype=float))
+            uf = dgemv(-1.0, self.cols, lam, beta=1.0, y=uf, overwrite_y=1)
         rounds = 0
         while True:
-            r = self.rhs - self._kff_mul(uf)
+            r = self.rhs - self.kff @ uf
             r[self.cdofs] = 0.0  # constrained rows carry reaction, not residual
             ref = np.linalg.norm(self.rhs) or 1.0
             res = np.linalg.norm(r) / ref
@@ -415,8 +516,8 @@ class RampSolver:
                 break
             d = self.lu.solve(r)
             if self.cdofs:
-                lam = np.linalg.solve(self.gram, d[self.cdofs])
-                d -= self.cols @ lam
+                lam = cho_solve(self._gram_factor, d[self.cdofs])
+                d = dgemv(-1.0, self.cols, lam, beta=1.0, y=d, overwrite_y=1)
             uf += d
             rounds += 1
         if res > self.tol:
@@ -425,11 +526,6 @@ class RampSolver:
         u = self.u_base.copy()
         u[self.free] = uf
         return u.reshape(-1, 2), SolveDiagnostics("direct", rounds, float(res), True)
-
-    def _kff_mul(self, v: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.k.shape[0])
-        full[self.free] = v
-        return (self.k @ full)[self.free]
 
 
 @dataclass

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import re
 import warnings
 from pathlib import Path
 
@@ -204,6 +205,17 @@ class TestMainExitCodes:
         assert err.startswith("solver failure: ") and err.count("\n") == 1
         if experiment == "indent":
             assert "at depth 0.125 mm" in err
+
+    def test_factor_over_available_memory_is_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pd_core, "_available_memory", lambda: 10**6)
+        p = tmp_path / "indent.cfg"
+        p.write_text("size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
+                     "indenter_radius = 6\ndepth_max = 1.0\ndepth_steps = 8\n")
+        assert main(["indent", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.fullmatch(r"solver failure: the factor of \d+ unknowns needs about "
+                            r"\S+ GB, more than the 0.001 GB available\n", err)
 
     @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
     def test_unusable_out_is_2(self, tmp_path, capsys, where):

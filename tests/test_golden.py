@@ -264,6 +264,18 @@ def test_artifacts_match_golden(tmp_path, capsys, experiment, dump):
     assert got["artifacts"] == want["artifacts"]
 
 
+@pytest.mark.parametrize("size", ["0", "-3"],
+                         ids=["calibrate-zero-size", "calibrate-negative-size"])
+def test_calibrate_needs_no_sheet(tmp_path, capsys, size):
+    # the calibration never builds the sheet, so its sizes cannot fail it
+    cfg = tmp_path / "calibrate.cfg"
+    cfg.write_text(f"size_x = {size}\nsize_y = {size}\n")
+    out = tmp_path / "run"
+    assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert digest(out)["metrics"] == GOLDEN["calibrate-plain"]["metrics"]
+
+
 @pytest.mark.parametrize("case", sorted(INDENT_CURVES))
 def test_indent_curves_within_tolerance(tmp_path, capsys, case):
     text, curves, ramp = INDENT_CURVES[case]

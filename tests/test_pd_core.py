@@ -1,6 +1,7 @@
 """Operator assembly, solves, energies, reactions and contact stepping."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,24 +290,98 @@ def test_inversion_scan_matches_reference(seed, scale, shift):
     assert np.array_equal(got, _inverted_reference(bonds, u))
 
 
+def _subtree(tree, t):
+    """Node ids of tree block ``t`` and all its descendants."""
+    ids, children = tree[t]
+    return np.concatenate([ids] + [_subtree(tree, c) for c in children])
+
+
+def _node_dofs(ids):
+    return np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
+
+
 class TestNestedDissection:
     @pytest.mark.parametrize("kind", ["bonds", "q4"])
-    def test_order_is_a_permutation(self, kind):
+    def test_postorder_is_a_permutation(self, kind):
         positions, k = operator(kind)
-        order = pd_core.nested_dissection(positions, k)
+        tree = pd_core.nested_dissection(positions, k)
+        order = np.concatenate([ids for ids, _ in tree])
         assert np.array_equal(np.sort(order), np.arange(len(positions)))
+        # every block follows its children, and the root is last
+        assert all(c < t for t, (_, kids) in enumerate(tree) for c in kids)
+        assert np.array_equal(np.sort(_subtree(tree, len(tree) - 1)), np.sort(order))
 
     @pytest.mark.parametrize("kind", ["bonds", "q4"])
-    def test_top_split_halves_are_uncoupled(self, kind):
+    def test_children_are_uncoupled_at_every_block(self, kind, monkeypatch):
+        # smaller leaves give a deeper tree on these small operators
+        monkeypatch.setattr(pd_core, "_ND_LEAF", 12)
         positions, k = operator(kind)
-        lo, hi = pd_core._bisect(positions, pd_core._operator_reach(positions, k))
-        assert lo.any() and hi.any() and not (lo | hi).all()
+        k = k.tocsr()
+        tree = pd_core.nested_dissection(positions, k)
+        split = [(ids, kids) for ids, kids in tree if kids]
+        assert len(split) >= 4
+        for ids, kids in split:
+            lo, hi = (_node_dofs(_subtree(tree, c)) for c in kids)
+            assert len(lo) and len(hi) and len(ids)
+            assert k[lo][:, hi].nnz == 0
 
-        def dofs(mask):
-            ids = np.flatnonzero(mask)
-            return np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
 
-        assert k.tocsr()[dofs(lo)][:, dofs(hi)].nnz == 0
+class TestMultifrontalCholesky:
+    @pytest.mark.parametrize("whole_block", [False, True], ids=["edge", "whole-block"])
+    @pytest.mark.parametrize("kind", ["bonds", "q4"])
+    def test_solves_match_direct(self, kind, whole_block, monkeypatch):
+        monkeypatch.setattr(pd_core, "_ND_LEAF", 12)
+        positions, k = operator(kind)
+        base = BCSet(len(positions))
+        base.prescribe(np.flatnonzero(positions[:, 1] == positions[:, 1].min()),
+                       ux=0.0, uy=0.0)
+        if whole_block:
+            # a separator below the root has no unknowns left, so its front
+            # only passes its children's updates on
+            tree = pd_core.nested_dissection(positions, k)
+            base.prescribe(next(ids for ids, kids in tree[:-1] if kids), ux=0.0, uy=0.0)
+        solver = RampSolver(k, base, positions)
+        free = solver.free
+        kff = k.tocsr()[free][:, free]
+        b = np.random.default_rng(1).normal(size=(len(free), 8))
+        x1, x8 = solver.lu.solve(b[:, 0]), solver.lu.solve(b)
+        assert x1.shape == (len(free),) and x8.shape == b.shape
+        for x, rhs in ((x1, b[:, 0]), (x8, b)):
+            res = np.linalg.norm(kff @ x - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
+            assert res.max() <= 1e-12
+        for x, j in ((x1, 0), (x8[:, 0], 0), (x8[:, 7], 7)):
+            bcs = base.copy()
+            bcs.loads.ravel()[free] = b[:, j]
+            u, _ = pd_core.solve_static(k, bcs, tol=1e-12, method="direct")
+            assert np.abs(u.ravel()[free] - x).max() <= 1e-10 * np.abs(x).max()
+
+    def _no_shear(self):
+        # horizon 1.2 at spacing 1: nearest-neighbour bonds only, so the
+        # lattice has no shear stiffness and the clamped block is singular
+        dom, nodes, bonds, _, _, k = small_model(nx=9, ny=9, horizon=1.2)
+        base = BCSet(nodes.n)
+        base.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
+        return nodes, bonds, k, base, nodes.on_side(dom, "+y")
+
+    def test_singular_operator_is_solver_failure(self):
+        nodes, _, k, base, _ = self._no_shear()
+        with pytest.raises(SolverFailure,
+                           match=r"not positive definite at front \d+ \(\d+ unknowns"):
+            RampSolver(k, base, nodes.positions)
+
+    def test_singular_ramp_is_solver_failure(self):
+        nodes, bonds, k, base, top = self._no_shear()
+        with pytest.raises(SolverFailure, match="not positive definite"):
+            pd_core.run_indentation(nodes.positions, k, base, top, 3.0,
+                                    np.array([0.1, 0.2]), bonds=bonds)
+
+    def test_memory_error_is_solver_failure(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(pd_core, "cholesky", exhausted)
+        nodes, _, k, base, _ = self._no_shear()
+        with pytest.raises(SolverFailure, match=r"^out of memory factoring \d+ unknowns$"):
+            RampSolver(k, base, nodes.positions)
 
 
 class TestRampSolver:
@@ -376,6 +451,22 @@ class TestRampSolver:
         assert np.array_equal(solver.gram, before[1])
         assert np.array_equal(solver.cols, before[2])
         assert np.array_equal(solver.solve(values[:4])[0], before[3])
+
+
+    def test_indefinite_gram_is_solver_failure(self):
+        solver, dofs, values, _ = self._ramp()
+        solver.add_constraints(dofs[:4])
+        before = (solver.constrained_dofs.copy(), solver.gram.copy(), solver.cols.copy())
+        factor = solver.lu
+        solver.lu = SimpleNamespace(solve=lambda b: -factor.solve(b))
+        with pytest.raises(SolverFailure, match="Gram matrix of 10 contact dofs is not "
+                                                "positive definite"):
+            solver.add_constraints(dofs[4:])
+        solver.lu = factor
+        assert np.array_equal(solver.constrained_dofs, before[0])
+        assert np.array_equal(solver.gram, before[1])
+        assert np.array_equal(solver.cols, before[2])
+        solver.solve(values[:4])
 
 
 class TestIndentationRamp:
