@@ -88,29 +88,29 @@ GOLDEN = {
     "indent-plain": {
         "exit": 0,
         "csv": {
-            "corrected/curve.csv": "88a32cffc6267c64b13146d493ec6a5f8a78b2467737faffe79868bce44dce3c",
-            "corrected/fields.csv": "7d1f82708b11a7abb0bb0cc8a401ddd35011899e4d4a063464eeb86a25d50dfa",
-            "fem/curve.csv": "ce18e762249ccc4d5a56ad1c2a0399feb6c66cbba392736ead14dadeb677ac93",
-            "fem/fields.csv": "44a13e416924b45bd4c9da86bedad0504334df72442b750a89c06f95f9e5c476",
-            "uncorrected/curve.csv": "068d19e63e395d4aab61dc11a8cd05ef6b04b9a07ea42aace4389b1b90a979d2",
-            "uncorrected/fields.csv": "b295f5b737a60b9dc06b743cb0a23dd4cdf06457bf54a7d43af8be535478a183",
+            "corrected/curve.csv": "415b45396b63fc22e9e8ac70e90c61fdc042481527f1cb0ec3406ed5b81b3c5b",
+            "corrected/fields.csv": "e736584f47763e93b1fbaea2240c8b3c8f00c8e9fc150dc59f6659d26b3ab2ad",
+            "fem/curve.csv": "22647eaab3c868067e6cbb50ffaaaef674d99d222069cc0d46fb94aa91a906e7",
+            "fem/fields.csv": "754a3ccffd611a671805c44637780f200fe9667f3529f3c927f0abf9f7928616",
+            "uncorrected/curve.csv": "f92afdf0ea61bf13fd1d54e89270e7b9d4ce4de9591abed17e0cf540c8762c23",
+            "uncorrected/fields.csv": "f9510f3793da1665cad19ba6f7d418243737388d68bdd1331e590062f392249e",
         },
-        "metrics": "2ce5bc78f89776d9cf9b68c1f39cb18696a24378d0e6fa5e2e3287ae8b74c402",
+        "metrics": "52391e979119a6c27a4763795d81b7fa434244f2d85aed377c1dcac4b9ab99ca",
         "artifacts": "97278f3a2fd0a14e07cbe35b0f4c452707a1f18af865014837b5e9670b8e34fa",
     },
     "indent-dump": {
         "exit": 0,
         "csv": {
             "corrected/bonds.csv": "5db5a96c0da48b30ebd08edd824198abc7b8eb170253605c92148f7692fb7d57",
-            "corrected/curve.csv": "88a32cffc6267c64b13146d493ec6a5f8a78b2467737faffe79868bce44dce3c",
-            "corrected/fields.csv": "7d1f82708b11a7abb0bb0cc8a401ddd35011899e4d4a063464eeb86a25d50dfa",
-            "fem/curve.csv": "ce18e762249ccc4d5a56ad1c2a0399feb6c66cbba392736ead14dadeb677ac93",
-            "fem/fields.csv": "44a13e416924b45bd4c9da86bedad0504334df72442b750a89c06f95f9e5c476",
+            "corrected/curve.csv": "415b45396b63fc22e9e8ac70e90c61fdc042481527f1cb0ec3406ed5b81b3c5b",
+            "corrected/fields.csv": "e736584f47763e93b1fbaea2240c8b3c8f00c8e9fc150dc59f6659d26b3ab2ad",
+            "fem/curve.csv": "22647eaab3c868067e6cbb50ffaaaef674d99d222069cc0d46fb94aa91a906e7",
+            "fem/fields.csv": "754a3ccffd611a671805c44637780f200fe9667f3529f3c927f0abf9f7928616",
             "uncorrected/bonds.csv": "bc8808cc239ad253bc6aff0d6106e73d282b4ed9efa1d44ac96a7f009542399e",
-            "uncorrected/curve.csv": "068d19e63e395d4aab61dc11a8cd05ef6b04b9a07ea42aace4389b1b90a979d2",
-            "uncorrected/fields.csv": "b295f5b737a60b9dc06b743cb0a23dd4cdf06457bf54a7d43af8be535478a183",
+            "uncorrected/curve.csv": "f92afdf0ea61bf13fd1d54e89270e7b9d4ce4de9591abed17e0cf540c8762c23",
+            "uncorrected/fields.csv": "f9510f3793da1665cad19ba6f7d418243737388d68bdd1331e590062f392249e",
         },
-        "metrics": "2ce5bc78f89776d9cf9b68c1f39cb18696a24378d0e6fa5e2e3287ae8b74c402",
+        "metrics": "52391e979119a6c27a4763795d81b7fa434244f2d85aed377c1dcac4b9ab99ca",
         "artifacts": "a810fcb22d196a76683fbc1c73f99fa00d5a650d7ebcbfb6dd9528e034e168ac",
     },
     "tension-plain": {
