@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrsm
+from scipy.linalg.blas import dgemm, dgemv, dnrm2, dsyrk, dtrsm
 
 from .geometry import BondTable, NodeSet
 from .material import CorrectionField
@@ -506,12 +506,11 @@ class RampSolver:
         if self.cdofs:
             lam = cho_solve(self._gram_factor, uf[self.cdofs] - np.asarray(values, dtype=float))
             uf = dgemv(-1.0, self.cols, lam, beta=1.0, y=uf, overwrite_y=1)
-        rounds = 0
+        rounds, ref = 0, dnrm2(self.rhs) or 1.0
         while True:
             r = self.rhs - self.kff @ uf
             r[self.cdofs] = 0.0  # constrained rows carry reaction, not residual
-            ref = np.linalg.norm(self.rhs) or 1.0
-            res = np.linalg.norm(r) / ref
+            res = dnrm2(r) / ref
             if res <= self.tol or rounds >= 3:
                 break
             d = self.lu.solve(r)
