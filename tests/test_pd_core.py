@@ -302,7 +302,7 @@ def _node_dofs(ids):
 
 class TestNestedDissection:
     @pytest.mark.parametrize("kind", ["bonds", "q4"])
-    def test_postorder_is_a_permutation(self, kind):
+    def test_order_is_a_permutation(self, kind):
         positions, k = operator(kind)
         tree = pd_core.nested_dissection(positions, k)
         order = np.concatenate([ids for ids, _ in tree])
@@ -310,6 +310,18 @@ class TestNestedDissection:
         # every block follows its children, and the root is last
         assert all(c < t for t, (_, kids) in enumerate(tree) for c in kids)
         assert np.array_equal(np.sort(_subtree(tree, len(tree) - 1)), np.sort(order))
+
+    @pytest.mark.parametrize("kind", ["bonds", "q4"])
+    def test_top_split_halves_are_uncoupled(self, kind):
+        positions, k = operator(kind)
+        lo, hi = pd_core._bisect(positions, pd_core._operator_reach(positions, k))
+        assert lo.any() and hi.any() and not (lo | hi).all()
+
+        def dofs(mask):
+            ids = np.flatnonzero(mask)
+            return np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
+
+        assert k.tocsr()[dofs(lo)][:, dofs(hi)].nnz == 0
 
     @pytest.mark.parametrize("kind", ["bonds", "q4"])
     def test_children_are_uncoupled_at_every_block(self, kind, monkeypatch):
@@ -341,6 +353,8 @@ class TestMultifrontalCholesky:
             tree = pd_core.nested_dissection(positions, k)
             base.prescribe(next(ids for ids, kids in tree[:-1] if kids), ux=0.0, uy=0.0)
         solver = RampSolver(k, base, positions)
+        if whole_block:
+            assert len(solver.lu.fronts) < len(tree)
         free = solver.free
         kff = k.tocsr()[free][:, free]
         b = np.random.default_rng(1).normal(size=(len(free), 8))
