@@ -396,23 +396,65 @@ def check_bond_inversion(bonds: BondTable, u: np.ndarray) -> np.ndarray:
     """Bond indices whose deformed vector reversed against the reference.
 
     A non-empty result means the deformed configuration maps material points
-    past each other, so a static continuation is no longer meaningful.
+    past each other, so a static continuation is no longer meaningful. The
+    indentation ramp passes only the bonds its :class:`InversionScreen`
+    cannot clear, as a sub-table.
     """
-    if bonds.m == 0:
-        return np.empty(0, dtype=int)
-    # (xi + u_j - u_i) . xi in that operation order, one axis at a time:
-    # 1-D gathers from contiguous columns are cheaper than row gathers
-    def term(axis: int) -> np.ndarray:
-        ua = np.ascontiguousarray(u[:, axis])
-        xa = bonds.xi[:, axis]
-        d = xa + ua[bonds.j]
-        d -= ua[bonds.i]
-        d *= xa
-        return d
-
-    proj = term(0)
-    proj += term(1)
+    deformed = bonds.xi + u[bonds.j] - u[bonds.i]
+    proj = deformed[:, 0] * bonds.xi[:, 0] + deformed[:, 1] * bonds.xi[:, 1]
     return np.flatnonzero(proj <= 0.0)
+
+
+class InversionScreen:
+    """Exact pre-filter of :func:`check_bond_inversion` by displacement spans.
+
+    The nodes are binned into square cells of side ``bonds.horizon`` and the
+    bonds grouped by their (unordered) pair of cells. Per call, the per-cell,
+    per-axis range of ``u`` bounds the relative displacement of every bond of
+    a cell pair by ``D``; since ``(xi + du).xi >= |xi| (|xi| - |du|)``, a
+    pair whose ``D`` stays below its shortest bond by a margin that covers the
+    rounding of the full formula (relative 1e-6 of the longest bond plus
+    ``max|u|``) holds no reversed bond. Only the other pairs' bonds are
+    scanned, so the result is the full scan's bit for bit; a non-finite ``u``
+    clears nothing.
+    """
+
+    def __init__(self, positions: np.ndarray, bonds: BondTable):
+        self.bonds = bonds
+        cell = np.floor((positions - positions.min(axis=0)) / bonds.horizon).astype(np.int64)
+        _, cell_of = np.unique(cell[:, 0] * (cell[:, 1].max() + 1) + cell[:, 1],
+                               return_inverse=True)
+        ncell = cell_of.max() + 1
+        self.nodes = np.argsort(cell_of, kind="stable")
+        self.starts = np.searchsorted(cell_of[self.nodes], np.arange(ncell))
+        a, b = cell_of[bonds.i], cell_of[bonds.j]
+        key = np.minimum(a, b) * ncell + np.maximum(a, b)
+        self.order = np.argsort(key, kind="stable")
+        pairs, first = np.unique(key[self.order], return_index=True)
+        self.cell_i, self.cell_j = np.divmod(pairs, ncell)
+        self.first, self.count = first, np.diff(np.append(first, bonds.m))
+        self.shortest = np.minimum.reduceat(bonds.length[self.order], first)
+        self.longest = bonds.length.max(initial=0.0)
+
+    def candidates(self, u: np.ndarray) -> np.ndarray:
+        """Sorted ids of the bonds whose cell pair the span bound cannot clear."""
+        us = u[self.nodes]
+        lo = np.minimum.reduceat(us, self.starts)
+        hi = np.maximum.reduceat(us, self.starts)
+        ci, cj = self.cell_i, self.cell_j
+        span = np.maximum(hi[cj] - lo[ci], hi[ci] - lo[cj])
+        reach = np.hypot(span[:, 0], span[:, 1]) + 1e-6 * (self.longest + np.abs(u).max())
+        hit = np.flatnonzero(~(reach < self.shortest))  # NaN counts as a hit
+        start, count = self.first[hit], self.count[hit]
+        offsets = np.repeat(start - (np.cumsum(count) - count), count)
+        return np.sort(self.order[np.arange(count.sum()) + offsets])
+
+    def inverted(self, u: np.ndarray) -> np.ndarray:
+        """``check_bond_inversion(bonds, u)``, scanning only the candidates."""
+        ids, b = self.candidates(u), self.bonds
+        sub = BondTable(b.i[ids], b.j[ids], b.xi[ids], b.length[ids], b.unit[ids],
+                        b.horizon, b.m_ratio)
+        return ids[check_bond_inversion(sub, u)]
 
 
 class RampSolver:
@@ -501,25 +543,31 @@ class RampSolver:
         self.cdofs += new
 
     def solve(self, values: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
-        """Solve with the registered dofs held at ``values`` (attach order)."""
+        """Solve with the registered dofs held at ``values`` (attach order).
+
+        A non-finite value or residual raises :class:`SolverFailure`.
+        """
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise SolverFailure("ramp solve given non-finite contact values")
         uf = self.y.copy()
         if self.cdofs:
-            lam = cho_solve(self._gram_factor, uf[self.cdofs] - np.asarray(values, dtype=float))
+            lam = cho_solve(self._gram_factor, uf[self.cdofs] - values, check_finite=False)
             uf = dgemv(-1.0, self.cols, lam, beta=1.0, y=uf, overwrite_y=1)
         rounds, ref = 0, dnrm2(self.rhs) or 1.0
         while True:
             r = self.rhs - self.kff @ uf
             r[self.cdofs] = 0.0  # constrained rows carry reaction, not residual
             res = dnrm2(r) / ref
-            if res <= self.tol or rounds >= 3:
+            if not res > self.tol or rounds >= 3:  # a NaN residual stops too
                 break
             d = self.lu.solve(r)
             if self.cdofs:
-                lam = cho_solve(self._gram_factor, d[self.cdofs])
+                lam = cho_solve(self._gram_factor, d[self.cdofs], check_finite=False)
                 d = dgemv(-1.0, self.cols, lam, beta=1.0, y=d, overwrite_y=1)
             uf += d
             rounds += 1
-        if res > self.tol:
+        if not res <= self.tol:
             raise SolverFailure(
                 f"ramp solve stalled at relative residual {res:.3e} (tol {self.tol:.1e})")
         u = self.u_base.copy()
@@ -570,11 +618,16 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     reactions on the stuck set. The stuck set only ever grows, so the
     operator is factorized once and contacts are appended incrementally. A
     step whose solve stalls raises SolverFailure naming its depth.
+
+    The scan goes through an :class:`InversionScreen` built once per ramp: it
+    hands :func:`check_bond_inversion` only the bonds whose cell pair's
+    displacement span could reverse them, and its result is the full scan's.
     """
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
     state = IndenterState(center_x=center_x, radius=radius, top_y=top_y)
     solver = RampSolver(k, base_bcs, positions, tol=tol)
+    screen = InversionScreen(positions, bonds) if bonds is not None else None
     u = np.zeros_like(positions)
     out_depths, out_forces, out_stuck, iters = [], [], [], []
     failed = False
@@ -601,8 +654,8 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
             u_new, diag = solver.solve(target.ravel())
         except SolverFailure as exc:
             raise SolverFailure(f"at depth {depth:g} mm: {exc}") from exc
-        if bonds is not None:
-            inverted = check_bond_inversion(bonds, u_new)
+        if screen is not None:
+            inverted = screen.inverted(u_new)
             if len(inverted) > 0:
                 failed = True
                 failure_depth = float(depth)

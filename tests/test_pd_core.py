@@ -290,6 +290,53 @@ def test_inversion_scan_matches_reference(seed, scale, shift):
     assert np.array_equal(got, _inverted_reference(bonds, u))
 
 
+def _lattice(virtual):
+    """Nodes and bonds of a small sheet, with virtual rows on two sides or not."""
+    dom = Domain.rectangle(9.0, 7.0)
+    nodes = geo.build_grid(dom, GridSpec.covering(dom, 1.0))
+    if virtual:
+        nodes = geo.add_virtual_layers(nodes, dom, "+y", 3)
+        nodes = geo.add_virtual_layers(nodes, dom, "-x", 3)
+    return nodes, geo.build_bonds(nodes, 3.0)
+
+
+class TestInversionScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), virtual=st.booleans(),
+           strain=st.sampled_from([0.0, 1e-3, 0.3, 2.0]),
+           shift=st.sampled_from([0.0, 1e8, 1e17]),
+           bad=st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    def test_matches_full_scan(self, seed, virtual, strain, shift, bad):
+        nodes, bonds = _lattice(virtual)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(nodes.n, 2)) * 1e-3 + shift
+        # a large local strain around one node
+        near = np.linalg.norm(nodes.positions - nodes.positions[rng.integers(nodes.n)],
+                              axis=1) < 2.5
+        u[near] += rng.normal(size=(near.sum(), 2)) * strain
+        # a collapsed bond: u_j - u_i = -xi, so its projection is exactly 0
+        b = int(rng.integers(bonds.m))
+        u[bonds.i[b]] = 0.0
+        u[bonds.j[b]] = -bonds.xi[b]
+        if bad is not None:
+            u[rng.integers(nodes.n), rng.integers(2)] = bad
+        screen = pd_core.InversionScreen(nodes.positions, bonds)
+        with np.errstate(invalid="ignore"):
+            got = screen.inverted(u)
+            assert np.array_equal(got, pd_core.check_bond_inversion(bonds, u))
+        assert bad is not None or b in got
+
+    def test_small_affine_strain_leaves_no_candidates(self):
+        # a screen that scans every bond would pass the property above
+        for virtual in (False, True):
+            nodes, bonds = _lattice(virtual)
+            u = AffineField(np.array([[5e-3, 1e-3], [1e-3, -2e-3]])).displacements(
+                nodes.positions)
+            screen = pd_core.InversionScreen(nodes.positions, bonds)
+            assert len(screen.candidates(u)) == 0
+            assert len(screen.inverted(u)) == 0
+
+
 def _subtree(tree, t):
     """Node ids of tree block ``t`` and all its descendants."""
     ids, children = tree[t]
@@ -483,6 +530,34 @@ class TestRampSolver:
         solver.solve(values[:4])
 
 
+    @pytest.mark.parametrize("contacts", [False, True], ids=["free", "contacts"])
+    @pytest.mark.parametrize("bad", ["inf-load", "nan-prescribed"])
+    def test_non_finite_residual_is_solver_failure(self, bad, contacts):
+        dom, nodes, bonds, m, corr, k = small_model()
+        base = BCSet(nodes.n)
+        bottom = nodes.on_side(dom, "-y")
+        base.prescribe(bottom, ux=0.0, uy=0.0)
+        top = nodes.on_side(dom, "+y")
+        if bad == "inf-load":
+            base.add_load(top[1:], fy=np.inf)
+        else:
+            base.prescribed_value[bottom[2], 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            solver = RampSolver(k, base, nodes.positions)
+            if contacts:
+                solver.add_constraints([2 * top[0], 2 * top[0] + 1])
+            with pytest.raises(SolverFailure, match="relative residual nan"):
+                solver.solve(np.zeros(2 if contacts else 0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_is_solver_failure(self, value):
+        solver, dofs, values, _ = self._ramp()
+        solver.add_constraints(dofs)
+        values[3] = value
+        with pytest.raises(SolverFailure, match="non-finite contact values"):
+            solver.solve(values)
+
+
 class TestIndentationRamp:
     def _setup(self, surfaces="all"):
         spacing, horizon = 0.5, 1.5
@@ -530,6 +605,23 @@ class TestIndentationRamp:
         final = nodes.positions[state.stuck_ids] + res.u_final[state.stuck_ids]
         assert np.allclose(np.linalg.norm(final - state.center, axis=1), 4.0,
                            rtol=1e-9)
+
+    def test_scan_sees_only_screened_bonds(self, monkeypatch):
+        # the ramp scans through the module's check_bond_inversion, which a
+        # wrapper can count, and passes it far fewer bonds than the table
+        nodes, bonds, k, base, top = self._setup()
+        scanned, full = [], pd_core.check_bond_inversion
+
+        def counting(sub, u):
+            scanned.append(sub.m)
+            return full(sub, u)
+
+        depths = np.linspace(0.05, 0.8, 16)
+        monkeypatch.setattr(pd_core, "check_bond_inversion", counting)
+        res = pd_core.run_indentation(nodes.positions, k, base, top, 4.0, depths,
+                                      bonds=bonds)
+        assert not res.failed and len(scanned) == len(depths)
+        assert sum(scanned) < 0.5 * len(depths) * bonds.m
 
     def test_stall_names_its_depth(self):
         # an unreachable residual stalls the first step, which has contacts
