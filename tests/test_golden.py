@@ -98,29 +98,29 @@ GOLDEN = {
     "indent-plain": {
         "exit": 0,
         "csv": {
-            "corrected/curve.csv": "415b45396b63fc22e9e8ac70e90c61fdc042481527f1cb0ec3406ed5b81b3c5b",
-            "corrected/fields.csv": "e736584f47763e93b1fbaea2240c8b3c8f00c8e9fc150dc59f6659d26b3ab2ad",
-            "fem/curve.csv": "22647eaab3c868067e6cbb50ffaaaef674d99d222069cc0d46fb94aa91a906e7",
-            "fem/fields.csv": "754a3ccffd611a671805c44637780f200fe9667f3529f3c927f0abf9f7928616",
-            "uncorrected/curve.csv": "f92afdf0ea61bf13fd1d54e89270e7b9d4ce4de9591abed17e0cf540c8762c23",
-            "uncorrected/fields.csv": "f9510f3793da1665cad19ba6f7d418243737388d68bdd1331e590062f392249e",
+            "corrected/curve.csv": "e87fa2da8a6133bcb46275e8fac3e113bbb0a711f28935a7d01c6012caedac49",
+            "corrected/fields.csv": "582a4c2832f8da5d9bcfb9708401ef2341c09424bf650e99fcf003cdef567df6",
+            "fem/curve.csv": "3e567986ef98a9311d36e666ff896d207287833c24abdd20e6abe65a86bf19b4",
+            "fem/fields.csv": "4e3992ecf18087c43c38587dca09d7a5f5b140e1e69a224ef8d5751afbf8ec79",
+            "uncorrected/curve.csv": "55e44d9a1e13d8f6b078129729b35049dbcd89a0d3fb8dd347f12c754b5bc897",
+            "uncorrected/fields.csv": "79c672f269cfc2b6a9f4dbf11ec0e011b78c27b8b22c4d0950cd6b82c54aadf0",
         },
-        "metrics": "52391e979119a6c27a4763795d81b7fa434244f2d85aed377c1dcac4b9ab99ca",
+        "metrics": "d80bd22840b1c98f9b6587c149164ce26178cccec11e3d6864cc5ba923f816cb",
         "artifacts": "97278f3a2fd0a14e07cbe35b0f4c452707a1f18af865014837b5e9670b8e34fa",
     },
     "indent-dump": {
         "exit": 0,
         "csv": {
             "corrected/bonds.csv": "5db5a96c0da48b30ebd08edd824198abc7b8eb170253605c92148f7692fb7d57",
-            "corrected/curve.csv": "415b45396b63fc22e9e8ac70e90c61fdc042481527f1cb0ec3406ed5b81b3c5b",
-            "corrected/fields.csv": "e736584f47763e93b1fbaea2240c8b3c8f00c8e9fc150dc59f6659d26b3ab2ad",
-            "fem/curve.csv": "22647eaab3c868067e6cbb50ffaaaef674d99d222069cc0d46fb94aa91a906e7",
-            "fem/fields.csv": "754a3ccffd611a671805c44637780f200fe9667f3529f3c927f0abf9f7928616",
+            "corrected/curve.csv": "e87fa2da8a6133bcb46275e8fac3e113bbb0a711f28935a7d01c6012caedac49",
+            "corrected/fields.csv": "582a4c2832f8da5d9bcfb9708401ef2341c09424bf650e99fcf003cdef567df6",
+            "fem/curve.csv": "3e567986ef98a9311d36e666ff896d207287833c24abdd20e6abe65a86bf19b4",
+            "fem/fields.csv": "4e3992ecf18087c43c38587dca09d7a5f5b140e1e69a224ef8d5751afbf8ec79",
             "uncorrected/bonds.csv": "bc8808cc239ad253bc6aff0d6106e73d282b4ed9efa1d44ac96a7f009542399e",
-            "uncorrected/curve.csv": "f92afdf0ea61bf13fd1d54e89270e7b9d4ce4de9591abed17e0cf540c8762c23",
-            "uncorrected/fields.csv": "f9510f3793da1665cad19ba6f7d418243737388d68bdd1331e590062f392249e",
+            "uncorrected/curve.csv": "55e44d9a1e13d8f6b078129729b35049dbcd89a0d3fb8dd347f12c754b5bc897",
+            "uncorrected/fields.csv": "79c672f269cfc2b6a9f4dbf11ec0e011b78c27b8b22c4d0950cd6b82c54aadf0",
         },
-        "metrics": "52391e979119a6c27a4763795d81b7fa434244f2d85aed377c1dcac4b9ab99ca",
+        "metrics": "d80bd22840b1c98f9b6587c149164ce26178cccec11e3d6864cc5ba923f816cb",
         "artifacts": "a810fcb22d196a76683fbc1c73f99fa00d5a650d7ebcbfb6dd9528e034e168ac",
     },
     "tension-plain": {
