@@ -529,7 +529,6 @@ class TestRampSolver:
         assert np.array_equal(solver.cols, before[2])
         solver.solve(values[:4])
 
-
     @pytest.mark.parametrize("contacts", [False, True], ids=["free", "contacts"])
     @pytest.mark.parametrize("bad", ["inf-load", "nan-prescribed"])
     def test_non_finite_residual_is_solver_failure(self, bad, contacts):
