@@ -32,17 +32,16 @@ class AffineField:
         return rel @ self.strain.T
 
 
-def uniaxial_solution(youngs_modulus: float, poisson: float, traction: float,
-                      origin=(0.0, 0.0)):
+def uniaxial_solution(youngs_modulus: float, poisson: float, traction: float):
     """Uniaxial stress sigma along y: u_y = (sigma/E) y, u_x = -nu (sigma/E) x.
 
     Returns a callable evaluating the displacement field at (N, 2) points,
-    measured from the symmetry center ``origin``.
+    measured from the symmetry center at the origin.
     """
     ax = traction / youngs_modulus
 
     def field(points: np.ndarray) -> np.ndarray:
-        rel = np.asarray(points, dtype=float) - np.asarray(origin)
+        rel = np.asarray(points, dtype=float)
         out = np.empty_like(rel)
         out[:, 0] = -poisson * ax * rel[:, 0]
         out[:, 1] = ax * rel[:, 1]
@@ -51,11 +50,14 @@ def uniaxial_solution(youngs_modulus: float, poisson: float, traction: float,
     return field
 
 
-def relative_error_field(u_num: np.ndarray, u_ref: np.ndarray,
-                         zero_tol: float = 1e-12):
+# reference magnitude (mm) below which a component counts as a symmetry zero
+ZERO_TOL = 1e-12
+
+
+def relative_error_field(u_num: np.ndarray, u_ref: np.ndarray):
     """Per-node, per-component relative errors against a reference field.
 
-    Components whose reference magnitude is below ``zero_tol`` (exact zeros
+    Components whose reference magnitude is below ``ZERO_TOL`` (exact zeros
     by symmetry) are excluded from the maximum and flagged in the returned
     mask. Returns (errors (N, 2), included (N, 2), max_error (2,)).
     """
@@ -63,7 +65,7 @@ def relative_error_field(u_num: np.ndarray, u_ref: np.ndarray,
     u_ref = np.asarray(u_ref, dtype=float)
     if u_num.shape != u_ref.shape:
         raise ValueError("node sets of numeric and reference fields differ")
-    included = np.abs(u_ref) >= zero_tol
+    included = np.abs(u_ref) >= ZERO_TOL
     err = np.zeros_like(u_num)
     err[included] = np.abs(u_num[included] - u_ref[included]) / np.abs(u_ref[included])
     max_err = np.array([

@@ -12,13 +12,14 @@ file (plus CLI overrides) with plot-ready CSV artifacts per variant:
 * ``calibrate`` bulk-amplitude calibration report for both radial profiles
                 and both calibration modes.
 
-Each ``run_<name>(cfg) -> RunSummary`` is a body decorated with
-:func:`experiment`, which registers it in ``RUNNERS`` and supplies what every
-run shares: the output directory, the wall-time clock and ``summary.txt``.
-The body fills the metrics and the artifact list of a :class:`Run`, whose
-:meth:`Run.model` builds every variant's operator: the FEM reference, or a
-bond model on a lattice shared by the variants of its grid kind. Every CSV
-goes through :func:`pdsc.geometry.write_csv`.
+Each ``run_<name>(cfg) -> Run`` is a body decorated with :func:`experiment`,
+which registers it in ``RUNNERS`` and supplies what every run shares: the
+output directory, the wall-time clock and ``summary.txt``. The body fills the
+metrics and the artifact list of a :class:`Run`, whose :meth:`Run.model`
+builds every variant's operator: the FEM reference, or a bond model on a
+lattice shared by the variants of its grid kind. The runner returns the
+filled ``Run``, which also renders ``summary.txt``. Every CSV goes through
+:func:`pdsc.geometry.write_csv`.
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 every requested bond-model variant of ``indent`` aborted on inversion.
@@ -33,7 +34,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,8 @@ class ExperimentConfig:
         if self.spacing >= self.horizon:
             raise ConfigError("the horizon must exceed the spacing: nearest-neighbour "
                               "bonds alone carry no shear")
+        if not 0.0 < self.tol < 1.0:
+            raise ConfigError("tol must lie strictly between 0 and 1")
         if self.youngs_modulus <= 0 or self.thickness <= 0:
             raise ConfigError("youngs_modulus and thickness must be positive")
         if self.experiment == "clamped" and self.size_y != self.size_x:
@@ -179,7 +182,10 @@ def read_config_file(path) -> dict:
 def load_config(experiment: str | None = None, config_path=None,
                 overrides: dict | None = None) -> ExperimentConfig:
     file_overrides = read_config_file(config_path) if config_path else {}
-    name = experiment or file_overrides.get("experiment")
+    named = file_overrides.get("experiment")
+    if experiment and named and named != experiment:
+        raise ConfigError(f"{config_path} configures {named!r}, not {experiment!r}")
+    name = experiment or named
     if name is None:
         raise ConfigError("no experiment given on the command line or in the config")
     cfg = default_config(name)
@@ -192,29 +198,6 @@ def load_config(experiment: str | None = None, config_path=None,
         raise ConfigError(str(exc)) from exc
     cfg.validate()
     return cfg
-
-
-@dataclass
-class RunSummary:
-    experiment: str
-    config: dict
-    metrics: dict
-    artifacts: list[str] = field(default_factory=list)
-    wall_seconds: float = 0.0
-
-    def to_text(self) -> str:
-        lines = [f"experiment = {self.experiment}", ""]
-        lines.append("[config]")
-        lines += [f"{k} = {v}" for k, v in self.config.items()]
-        lines.append("")
-        lines.append("[metrics]")
-        lines += [f"{k} = {_fmt(v)}" for k, v in self.metrics.items()]
-        lines.append("")
-        lines.append("[artifacts]")
-        lines += list(self.artifacts)
-        lines.append("")
-        lines.append(f"wall_seconds = {self.wall_seconds:.3f}")
-        return "\n".join(lines) + "\n"
 
 
 def _fmt(v) -> str:
@@ -305,7 +288,7 @@ class Model:
 
 
 class Run:
-    """One experiment run: its metrics and artifacts, and each variant's model.
+    """One experiment run: metrics, artifacts, wall time and each variant's model.
 
     :meth:`model` builds the FEM reference (``fem``) or a bond model. Bond
     models share their lattice: vertex-centred for ``uncorrected`` and
@@ -321,12 +304,33 @@ class Run:
     allocator returning it to the OS and faulting it back in.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, experiment: str, cfg: ExperimentConfig):
+        self.experiment = experiment
         self.cfg = cfg
         self.out = Path(cfg.out)
         self.metrics = {}
         self.artifacts = []
+        self.wall_seconds = 0.0
         self._virtual = self._lattice = self._material = self._model = None
+
+    def release(self) -> None:
+        """Drop the lattice and the last model; the report stays."""
+        self._virtual = self._lattice = self._model = None
+
+    def to_text(self) -> str:
+        """The ``summary.txt`` report: config echo, metrics, artifacts, wall time."""
+        lines = [f"experiment = {self.experiment}", ""]
+        lines.append("[config]")
+        lines += [f"{k} = {v}" for k, v in _config_echo(self.cfg).items()]
+        lines.append("")
+        lines.append("[metrics]")
+        lines += [f"{k} = {_fmt(v)}" for k, v in self.metrics.items()]
+        lines.append("")
+        lines.append("[artifacts]")
+        lines += list(self.artifacts)
+        lines.append("")
+        lines.append(f"wall_seconds = {self.wall_seconds:.3f}")
+        return "\n".join(lines) + "\n"
 
     @functools.cached_property
     def domain(self) -> Domain:  # built on first use: calibrate never needs the sheet
@@ -349,7 +353,7 @@ class Run:
 
     def lattice(self, virtual: bool) -> tuple[NodeSet, BondTable]:
         if self._virtual is not virtual:
-            self._lattice = self._model = None
+            self.release()
             spacing, domain = self.cfg.spacing, self.domain
             if virtual:
                 nodes = geometry.build_grid(domain, GridSpec.cell_centered(domain, spacing))
@@ -384,17 +388,17 @@ class Run:
 
 
 def experiment(body):
-    """Register ``body(run)`` as the runner ``run_<name>(cfg) -> RunSummary``.
+    """Register ``body(run)`` as the runner ``run_<name>(cfg) -> Run``.
 
     The runner creates the output directory with one subdirectory per
-    variant, lets ``body`` fill a fresh :class:`Run`, and times the whole run
-    into ``summary.txt``.
+    variant, lets ``body`` fill a fresh :class:`Run`, times the whole run
+    into ``summary.txt`` and returns the run with its operators released.
     """
     name = body.__name__.removeprefix("run_")
 
-    def runner(cfg: ExperimentConfig) -> RunSummary:
+    def runner(cfg: ExperimentConfig) -> Run:
         t0 = time.perf_counter()
-        run = Run(cfg)
+        run = Run(name, cfg)
         try:
             for d in (run.out, *(run.out / v for v in cfg.variants)):
                 d.mkdir(parents=True, exist_ok=True)
@@ -404,10 +408,10 @@ def experiment(body):
             raise ConfigError(f"cannot write the output directory {run.out}: "
                               f"{exc.strerror or exc}") from exc
         body(run)
-        summary = RunSummary(name, _config_echo(cfg), run.metrics, run.artifacts,
-                             time.perf_counter() - t0)
-        (run.out / "summary.txt").write_text(summary.to_text())
-        return summary
+        run.wall_seconds = time.perf_counter() - t0
+        (run.out / "summary.txt").write_text(run.to_text())
+        run.release()
+        return run
 
     runner.__name__ = runner.__qualname__ = body.__name__
     runner.__doc__ = body.__doc__
@@ -640,15 +644,15 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        summary = RUNNERS[cfg.experiment](cfg)
+        run = RUNNERS[cfg.experiment](cfg)
     except (ConfigError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    print(summary.to_text(), end="")
-    if cfg.experiment == "indent" and summary.metrics.get("all_bond_variants_aborted"):
+    print(run.to_text(), end="")
+    if cfg.experiment == "indent" and run.metrics.get("all_bond_variants_aborted"):
         return 4
     return 0
 

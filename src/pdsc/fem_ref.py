@@ -14,16 +14,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Domain, GeometryError, GridSpec
-from .material import POISSON_BY_DIMENSION
+from .material import POISSON
 
 
 @dataclass(frozen=True)
 class PlaneStressLaw:
-    """Isotropic plane-stress constitutive law."""
+    """Isotropic plane-stress constitutive law at the bond model's Poisson's ratio."""
 
     youngs_modulus: float
-    poisson: float = POISSON_BY_DIMENSION[2]
     thickness: float = 1.0
+
+    @property
+    def poisson(self) -> float:
+        return POISSON
 
     def matrix(self) -> np.ndarray:
         e, nu = self.youngs_modulus, self.poisson

@@ -205,17 +205,15 @@ class NodeSet:
     def real_mask(self) -> np.ndarray:
         return self.roles != ROLE_VIRTUAL
 
-    def on_side(self, domain: Domain, side: str, tol: float | None = None) -> np.ndarray:
-        """Ids of real nodes lying on the given axis-aligned boundary edge."""
-        if tol is None:
-            tol = 1e-7 * self.spacing
+    def on_side(self, domain: Domain, side: str) -> np.ndarray:
+        """Ids of real nodes on the given axis-aligned edge, to 1e-7 spacings."""
         edge = domain.side_edge_indices([side])[0]
         v = domain.edge_starts()[edge]
         e = domain.edge_vectors()[edge]
         rel = self.positions - v
         dist = np.abs(_cross2(np.broadcast_to(e, rel.shape), rel)) / np.linalg.norm(e)
         t = (rel * e).sum(1) / (e**2).sum()
-        hit = (dist < tol) & (t > -1e-9) & (t < 1 + 1e-9) & self.real_mask
+        hit = (dist < 1e-7 * self.spacing) & (t > -1e-9) & (t < 1 + 1e-9) & self.real_mask
         return np.where(hit)[0]
 
 
@@ -399,11 +397,10 @@ def rays_boundary_distance(origins: np.ndarray, directions: np.ndarray,
     return best
 
 
-def ray_boundary_distance(x, e, domain: Domain, min_dist: float | None = None) -> float:
+def ray_boundary_distance(x, e, domain: Domain) -> float:
     """Scalar convenience wrapper around :func:`rays_boundary_distance`."""
     return float(rays_boundary_distance(np.asarray(x, float)[None, :],
-                                        np.asarray(e, float)[None, :],
-                                        domain, min_dist=min_dist)[0])
+                                        np.asarray(e, float)[None, :], domain)[0])
 
 
 def truncated_lengths(origins, directions, domain: Domain, horizon: float,

@@ -3,21 +3,21 @@
 The pairwise ("bond") force model stores, for a uniformly strained
 neighborhood of a bulk point, the energy density
 
-    W(x) = 1/4 * integral over the horizon of  c(x, xi)/|xi| * (e . du)^2
+    W(x) = 1/4 * integral over the horizon disk of  c(x, xi)/|xi| * (e . du)^2
 
 with du the relative displacement and e the bond direction. Central forces
-fix the Poisson number (1/3 in 2D plane stress, 1/4 in 3D); matching W
-against the classical density 1/2 eps:H:eps for affine deformations yields
-the bulk amplitude c0. Near a boundary, part of the neighborhood is missing,
-which softens the response. Each bond direction is therefore rescaled by the
-ratio of the full to the truncated radial stiffness moment
+fix Poisson's ratio at 1/3 in plane stress; matching W against the classical
+density 1/2 eps:H:eps for affine deformations yields the bulk amplitude c0.
+Near a boundary, part of the neighborhood is missing, which softens the
+response. Each bond direction is therefore rescaled by the ratio of the full
+to the truncated radial stiffness moment
 
-    phi(x, e) = M(horizon) / M(d),   M(u) = integral_0^u c_b(s) s^D ds,
+    phi(x, e) = M(horizon) / M(d),   M(u) = integral_0^u c_b(s) s^2 ds,
 
 where d is the distance from x along e to the first boundary crossing,
 capped at the horizon. This restores the affine-deformation energy for every
 direction that still carries material. For the constant radial profile phi
-reduces to (horizon/d)**(D+1).
+reduces to (horizon/d)**3.
 
 The restoration holds for the body, not node by node. A node on a flat face
 has no bond in any outward direction and phi == 1 on every bond it keeps, so
@@ -35,10 +35,11 @@ import numpy as np
 
 from .geometry import Domain, BondTable, NodeSet, truncated_lengths
 
-POISSON_BY_DIMENSION = {2: 1.0 / 3.0, 3: 0.25}
+# Poisson's ratio of a plane-stress central-force material
+POISSON = 1.0 / 3.0
 
-# integral of (e_x)^4 over all directions: circle / unit sphere
-_ANGULAR_FOURTH_MOMENT = {2: 3.0 * np.pi / 4.0, 3: 4.0 * np.pi / 5.0}
+# integral of (e_x)^4 over the unit circle
+_ANGULAR_FOURTH_MOMENT = 3.0 * np.pi / 4.0
 
 PROFILE_KINDS = ("constant", "conical")
 
@@ -49,21 +50,14 @@ class GeometryInconsistency(RuntimeError):
 
 @dataclass(frozen=True)
 class ElasticParams:
-    """Isotropic reference constants; Poisson number is fixed by theory."""
+    """Isotropic reference constants; Poisson's ratio is fixed at ``POISSON``."""
 
     youngs_modulus: float          # MPa
-    thickness: float = 1.0         # mm, meaningful in 2D only
-    dimension: int = 2
+    thickness: float = 1.0         # mm
 
     def __post_init__(self):
-        if self.dimension not in POISSON_BY_DIMENSION:
-            raise ValueError(f"unsupported dimension {self.dimension}")
         if self.youngs_modulus <= 0 or self.thickness <= 0:
             raise ValueError("modulus and thickness must be positive")
-
-    @property
-    def poisson(self) -> float:
-        return POISSON_BY_DIMENSION[self.dimension]
 
 
 @dataclass(frozen=True)
@@ -73,10 +67,6 @@ class HookeTensor:
     xxxx: float
     xxyy: float
     xyxy: float
-
-    @property
-    def yyyy(self) -> float:
-        return self.xxxx
 
     def energy_density(self, strain: np.ndarray) -> float:
         """1/2 eps:H:eps for a symmetric 2x2 strain."""
@@ -92,7 +82,7 @@ def hooke_plane_stress(params: ElasticParams) -> HookeTensor:
     At nu = 1/3 the Cauchy relation xxyy == xyxy holds, as required for a
     central-force material.
     """
-    e, nu = params.youngs_modulus, params.poisson
+    e, nu = params.youngs_modulus, POISSON
     fac = e / (1.0 - nu**2)
     return HookeTensor(xxxx=fac, xxyy=nu * fac, xyxy=e / (2.0 * (1.0 + nu)))
 
@@ -113,13 +103,12 @@ class MicromodulusProfile:
             return np.ones_like(length)
         return 1.0 - length / horizon
 
-    def radial_moment(self, upper, horizon: float, dimension: int = 2):
-        """integral_0^upper shape(s) * s^D ds, closed form."""
+    def radial_moment(self, upper, horizon: float):
+        """integral_0^upper shape(s) * s^2 ds, closed form."""
         u = np.asarray(upper, dtype=float)
-        d = dimension
         if self.kind == "constant":
-            return u ** (d + 1) / (d + 1)
-        return u ** (d + 1) / (d + 1) - u ** (d + 2) / ((d + 2) * horizon)
+            return u ** 3 / 3
+        return u ** 3 / 3 - u ** 4 / (4 * horizon)
 
 
 @dataclass(frozen=True)
@@ -161,31 +150,20 @@ def calibrate_bulk(params: ElasticParams, profile_kind: str, horizon: float,
     """Bulk amplitude c0 from affine energy matching.
 
     ``continuum`` evaluates the matching integral over the full horizon
-    disk/sphere analytically. ``discrete`` (2D only) rescales c0 so the
-    lattice sum over an interior node's neighbors stores exactly the
-    classical energy for a uniaxial strain, removing the grid-dependent
-    quadrature bias of the neighborhood sum.
+    disk analytically. ``discrete`` rescales c0 so the lattice sum over an
+    interior node's neighbors stores exactly the classical energy for a
+    uniaxial strain, removing the grid-dependent quadrature bias of the
+    neighborhood sum.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     profile = MicromodulusProfile(profile_kind)
-    d = params.dimension
-    if d == 2:
-        h_xxxx = hooke_plane_stress(params).xxxx
-        thickness_factor = params.thickness
-    else:
-        e, nu = params.youngs_modulus, params.poisson
-        lam = e * nu / ((1 + nu) * (1 - 2 * nu))
-        mu = e / (2 * (1 + nu))
-        h_xxxx = lam + 2 * mu
-        thickness_factor = 1.0
+    h_xxxx = hooke_plane_stress(params).xxxx
     if mode == "continuum":
-        radial = profile.radial_moment(horizon, horizon, d)
-        return 2.0 * h_xxxx / (thickness_factor * radial * _ANGULAR_FOURTH_MOMENT[d])
+        radial = profile.radial_moment(horizon, horizon)
+        return 2.0 * h_xxxx / (params.thickness * radial * _ANGULAR_FOURTH_MOMENT)
     if mode != "discrete":
         raise ValueError(f"unknown calibration mode {mode!r}")
-    if d != 2:
-        raise ValueError("discrete calibration is defined for the 2D lattice only")
     if spacing is None:
         raise ValueError("discrete calibration needs the lattice spacing")
     ij = lattice_offsets(horizon, spacing)
@@ -224,7 +202,6 @@ def effective_constants(hooke: HookeTensor) -> tuple[float, float]:
 
 def correction_factors(points: np.ndarray, directions: np.ndarray, domain: Domain,
                        horizon: float, profile: MicromodulusProfile,
-                       dimension: int = 2,
                        edge_indices: np.ndarray | None = None) -> np.ndarray:
     """Direction-dependent stiffening factor for rays from points inside B.
 
@@ -235,17 +212,17 @@ def correction_factors(points: np.ndarray, directions: np.ndarray, domain: Domai
     d = truncated_lengths(points, directions, domain, horizon, edge_indices)
     if np.any(d <= 0):
         raise GeometryInconsistency("non-positive truncated length")
-    full = profile.radial_moment(horizon, horizon, dimension)
-    return full / profile.radial_moment(d, horizon, dimension)
+    full = profile.radial_moment(horizon, horizon)
+    return full / profile.radial_moment(d, horizon)
 
 
 def correction_factor(x, e, domain: Domain, horizon: float,
-                      profile_kind: str = "constant", dimension: int = 2) -> float:
+                      profile_kind: str = "constant") -> float:
     """Scalar wrapper: phi for a single point and unit direction."""
     profile = MicromodulusProfile(profile_kind)
     return float(correction_factors(np.asarray(x, float)[None, :],
                                     np.asarray(e, float)[None, :],
-                                    domain, horizon, profile, dimension)[0])
+                                    domain, horizon, profile)[0])
 
 
 @dataclass
@@ -285,14 +262,12 @@ def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
                 continue
             phi[active] = correction_factors(
                 nodes.positions[ends[active]], signs * bonds.unit[active],
-                domain, bonds.horizon, material.profile,
-                material.elastic.dimension, edge_indices)
+                domain, bonds.horizon, material.profile, edge_indices)
         # a bond's chord must stay inside the truncated horizon of both ends
-        full = material.profile.radial_moment(bonds.horizon, bonds.horizon,
-                                              material.elastic.dimension)
+        full = material.profile.radial_moment(bonds.horizon, bonds.horizon)
         # slack for rounding: a conical moment is flat at the horizon
         limit = (1 + 1e-12) * full / material.profile.radial_moment(
-            bonds.length * (1 - 1e-9), bonds.horizon, material.elastic.dimension)
+            bonds.length * (1 - 1e-9), bonds.horizon)
         if np.any(phi_i > limit) or np.any(phi_j > limit):
             raise GeometryInconsistency(
                 "truncated horizon shorter than a bond; domain and bonds disagree")

@@ -577,9 +577,8 @@ class RampSolver:
 
 @dataclass
 class IndenterState:
-    """Rigid circular indenter with a no-slip (stick) contact set."""
+    """Rigid circular indenter above x = 0 with a no-slip (stick) contact set."""
 
-    center_x: float
     radius: float
     top_y: float
     depth: float = 0.0
@@ -588,7 +587,7 @@ class IndenterState:
 
     @property
     def center(self) -> np.ndarray:
-        return np.array([self.center_x, self.top_y + self.radius - self.depth])
+        return np.array([0.0, self.top_y + self.radius - self.depth])
 
 
 @dataclass
@@ -606,9 +605,8 @@ class IndentationResult:
 
 def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
                     surface_ids: np.ndarray, radius: float, depths: np.ndarray,
-                    center_x: float = 0.0, bonds: BondTable | None = None,
-                    tol: float = 1e-10) -> IndentationResult:
-    """Displacement-controlled stick contact against a rigid circular punch.
+                    bonds: BondTable | None = None, tol: float = 1e-10) -> IndentationResult:
+    """Displacement-controlled stick contact against a rigid circular punch at x = 0.
 
     Per depth increment: surface nodes whose current position penetrates the
     disk are projected radially onto it and recorded in the indenter frame;
@@ -625,7 +623,7 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     """
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
-    state = IndenterState(center_x=center_x, radius=radius, top_y=top_y)
+    state = IndenterState(radius=radius, top_y=top_y)
     solver = RampSolver(k, base_bcs, positions, tol=tol)
     screen = InversionScreen(positions, bonds) if bonds is not None else None
     u = np.zeros_like(positions)

@@ -144,6 +144,14 @@ class TestMainExitCodes:
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["tension", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_config_for_another_experiment_is_2(self, tmp_path, capsys):
+        config = ROOT / "configs" / "calibrate.cfg"
+        assert main(["tension", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: {config} configures 'calibrate', "
+                       "not 'tension'\n")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("experiment, text", [
         # the loaded +y edge row falls outside the sheet
         ("tension", "size_x = 10\nsize_y = 20\nspacing = 0.7\nhorizon = 3.0\n"),
@@ -177,12 +185,19 @@ class TestMainExitCodes:
         ("calibrate", "spacing = nan\n"),
         ("tension", "horizon = inf\n"),
         ("indent", "depth_max = nan\n"),
+        # a relative residual of 0 is out of reach, and one of 1 or more is
+        # met before any solve
+        ("tension", "size_x = 10\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\ntol = 0\n"),
+        ("tension", "tol = -1\n"),
+        ("indent", "size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
+                   "indenter_radius = 6\ndepth_max = 1.0\ndepth_steps = 8\ntol = 1\n"),
     ], ids=["tension-empty-edge", "tension-no-axis", "zero-modulus",
             "negative-modulus", "zero-thickness", "spacing-over-horizon",
             "spacing-at-horizon", "clamped-not-square", "clamped-fem-off-grid",
             "clamped-empty-edge", "indent-empty-edge", "indent-zero-radius",
             "indent-zero-depth", "indent-depth-over-radius", "indent-depth-at-radius",
-            "indent-chord-over-block", "nan-spacing", "inf-horizon", "nan-depth"])
+            "indent-chord-over-block", "nan-spacing", "inf-horizon", "nan-depth",
+            "zero-tol", "negative-tol", "unit-tol"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
         p.write_text(text)

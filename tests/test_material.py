@@ -66,16 +66,6 @@ class TestContinuumCalibration:
         mu = 3 * E / 8
         assert w == pytest.approx(0.5 * mu * gamma**2, rel=1e-5)
 
-    def test_3d_constant_profile(self):
-        horizon = 2.0
-        c0 = calibrate_bulk(ElasticParams(E, dimension=3), "constant", horizon,
-                            "continuum")
-        assert c0 == pytest.approx(12 * E / (np.pi * horizon**4), rel=1e-12)
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            ElasticParams(E, dimension=4)
-
 
 class TestDiscreteCalibration:
     def test_within_two_percent_of_continuum_at_m6(self):
