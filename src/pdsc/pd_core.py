@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky
 from scipy.linalg.blas import dgemm, dgemv, dnrm2, dsyrk, dtrsm
 
 from .geometry import BondTable, NodeSet
@@ -220,9 +220,12 @@ class MultifrontalCholesky:
     ``sizes[t]`` consecutive unknowns belong to tree node ``t``, which comes
     after its ``children[t]``, and no entry of ``A`` couples two children of
     one node. Each front, its unknowns plus the later ones its subtree couples
-    to, sums its rows of ``A`` and its children's updates, is factored, and
-    passes ``F_BB - L_BI L_BI^T`` on (Duff & Reid 1983; Liu 1992). Dense
-    kernels run on scipy's BLAS only: numpy's own BLAS threads would fight it.
+    to, sums its rows of ``A`` (duplicate entries too) and its children's
+    updates, is factored, and passes ``F_BB - L_BI L_BI^T`` on (Duff & Reid
+    1983; Liu 1992). A solve's forward sweep skips the fronts that no nonzero
+    row of the right-hand side reaches (Gilbert & Peierls 1988; Liu 1990).
+    Dense kernels run on scipy's BLAS only: numpy's own BLAS threads would
+    fight it.
     A factor that would not fit in :func:`_available_memory`, a front that is
     not positive definite and a ``MemoryError`` raise :class:`SolverFailure`.
     ``L.nnz`` (``U = L^T``) counts stored entries, zeros in the fronts too.
@@ -249,46 +252,67 @@ class MultifrontalCholesky:
                                 "GB available")
         self.L = self.U = SimpleNamespace(nnz=int(nnz))
         self.fronts, updates = [], {}
+        loc = np.empty(a.shape[0], dtype=np.int64)  # front position of each unknown
         try:
             for t, (s, e, bnd, kids) in enumerate(zip(starts, ends, bounds, children)):
-                p, idx = e - s, np.concatenate([np.arange(s, e), bnd])
-                f = np.zeros((len(idx), len(idx)), order="F")
-                # own rows of A go in as columns: only the lower triangle is used
-                rows = a[s:e].tocoo()
-                mine = rows.col >= s
-                f[np.searchsorted(idx, rows.col[mine]), rows.row[mine]] = rows.data[mine]
+                p, m = e - s, e - s + len(bnd)
+                loc[s:e], loc[bnd] = np.arange(p), np.arange(p, m)
+                # the own columns, with F_BB apart so that dsyrk can overwrite
+                # it; own rows of A go in as columns (only the lower triangle
+                # is used), summed so that duplicate entries add up
+                own = slice(a.indptr[s], a.indptr[e])
+                cols = a.indices[own]
+                rows = np.repeat(np.arange(p), np.diff(a.indptr[s:e + 1]))
+                mine = cols >= s
+                f = np.bincount(loc[cols[mine]] + m * rows[mine], a.data[own][mine],
+                                m * p).reshape((m, p), order="F")
+                fbb = np.zeros((m - p, m - p), order="F")
                 for c in kids:
-                    # by runs of consecutive positions, few on these fronts
-                    pos, u = np.searchsorted(idx, bounds[c]), updates.pop(c)
-                    first = np.flatnonzero(np.diff(pos, prepend=-2) != 1)
+                    # by runs of consecutive positions, few on these fronts;
+                    # a run ends where F_BB begins
+                    pos, u = loc[bounds[c]], updates.pop(c)
+                    first = np.flatnonzero((np.diff(pos, prepend=-2) != 1) | (pos == p))
                     for i, j in zip(first, [*first[1:], len(pos)]):
-                        f[pos[i:], pos[i]:pos[i] + j - i] += u[i:, i:j]
+                        if pos[i] < p:
+                            f[pos[i:], pos[i]:pos[i] + j - i] += u[i:, i:j]
+                        else:
+                            fbb[pos[i:] - p, pos[i] - p:pos[i] - p + j - i] += u[i:, i:j]
                 if p == 0:  # a node with no unknowns passes its children's updates on
-                    updates[t] = f
+                    updates[t] = fbb
                     continue
                 try:
-                    l11 = cholesky(f[:p, :p], lower=True, check_finite=False)
+                    l11 = cholesky(f[:p], lower=True, check_finite=False)
                 except LinAlgError as exc:
                     raise SolverFailure(f"the matrix is not positive definite at front "
                                         f"{t} ({p} unknowns, {len(bnd)} boundary)") from exc
-                w = dtrsm(1.0, l11, f[p:, :p], side=1, lower=1, trans_a=1)
+                w = dtrsm(1.0, l11, f[p:], side=1, lower=1, trans_a=1)
                 if len(bnd):
-                    updates[t] = dsyrk(-1.0, w, beta=1.0, c=f[p:, p:], lower=1)
+                    updates[t] = dsyrk(-1.0, w, beta=1.0, c=fbb, lower=1, overwrite_c=1)
                 self.fronts.append((s, e, bnd, l11, w))
         except MemoryError as exc:
             raise SolverFailure(f"out of memory factoring {a.shape[0]} unknowns") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``A^{-1} b`` for one column ``(n,)`` or many ``(n, k)``."""
+        """``A^{-1} b`` for one column ``(n,)`` or many ``(n, k)``.
+
+        The forward sweep visits only the fronts that a nonzero (or NaN) row
+        of ``b`` reaches through the tree, from its own front up to the root;
+        the others would pass zeros on. The backward sweep visits them all.
+        """
         x = np.array(b, dtype=float)
         v = x.reshape(len(x), -1)
+        live = (v != 0).any(axis=1)  # NaN != 0 too
+        if not live.any():
+            return x
         for s, e, bnd, l11, w in self.fronts:
-            y = v[s:e] = solve_triangular(l11, v[s:e], lower=True, check_finite=False)
-            if len(bnd):
-                v[bnd] = dgemm(-1.0, w, y, 1.0, v[bnd])
+            if live[s:e].any():
+                y = v[s:e] = dtrsm(1.0, l11, v[s:e], lower=1)
+                if len(bnd):
+                    v[bnd] = dgemm(-1.0, w, y, 1.0, v[bnd])
+                    live[bnd] = True
         for s, e, bnd, l11, w in reversed(self.fronts):
             z = dgemm(-1.0, w, v[bnd], 1.0, v[s:e], trans_a=1) if len(bnd) else v[s:e]
-            v[s:e] = solve_triangular(l11, z, lower=True, trans="T", check_finite=False)
+            v[s:e] = dtrsm(1.0, l11, z, lower=1, trans_a=1)
         return x
 
 
@@ -465,7 +489,8 @@ class RampSolver:
     the nodes at ``positions`` (both dofs of a node together). Later
     constraints (the stick-contact set) are enforced through a bordered Schur
     complement: each :meth:`add_constraints` call backsolves all of its new
-    dofs in one multi-column solve and extends the Gram matrix by one block,
+    dofs in one multi-column solve, whose forward sweep visits only the fronts
+    from theirs up to the root, and extends the Gram matrix by one block,
     and each step solves with the Gram matrix's Cholesky factor. Residuals
     are verified against the same contract as :func:`solve_static` and
     polished by iterative refinement when needed.

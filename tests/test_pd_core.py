@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
+from scipy.linalg.blas import dtrsm
 
 from pdsc import analytic, fem_ref, geometry as geo, material as mat, pd_core
 from pdsc.analytic import AffineField
@@ -386,9 +388,8 @@ class TestNestedDissection:
 
 
 class TestMultifrontalCholesky:
-    @pytest.mark.parametrize("whole_block", [False, True], ids=["edge", "whole-block"])
-    @pytest.mark.parametrize("kind", ["bonds", "q4"])
-    def test_solves_match_direct(self, kind, whole_block, monkeypatch):
+    def _factored(self, kind, monkeypatch, whole_block=False):
+        """A ramp factor of ``operator(kind)`` clamped at its bottom row."""
         monkeypatch.setattr(pd_core, "_ND_LEAF", 12)
         positions, k = operator(kind)
         base = BCSet(len(positions))
@@ -402,19 +403,91 @@ class TestMultifrontalCholesky:
         solver = RampSolver(k, base, positions)
         if whole_block:
             assert len(solver.lu.fronts) < len(tree)
+        return solver, k, base
+
+    @staticmethod
+    def _assert_solved(solver, k, base, b, x, direct=()):
+        """Residual <= 1e-12 per column; columns ``direct`` also match LU."""
         free = solver.free
         kff = k.tocsr()[free][:, free]
-        b = np.random.default_rng(1).normal(size=(len(free), 8))
-        x1, x8 = solver.lu.solve(b[:, 0]), solver.lu.solve(b)
-        assert x1.shape == (len(free),) and x8.shape == b.shape
-        for x, rhs in ((x1, b[:, 0]), (x8, b)):
-            res = np.linalg.norm(kff @ x - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
-            assert res.max() <= 1e-12
-        for x, j in ((x1, 0), (x8[:, 0], 0), (x8[:, 7], 7)):
+        res = np.linalg.norm(kff @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+        assert res.max() <= 1e-12
+        for j in direct:
+            xj = x[:, j] if x.ndim == 2 else x
             bcs = base.copy()
-            bcs.loads.ravel()[free] = b[:, j]
+            bcs.loads.ravel()[free] = b[:, j] if b.ndim == 2 else b
             u, _ = pd_core.solve_static(k, bcs, tol=1e-12, method="direct")
-            assert np.abs(u.ravel()[free] - x).max() <= 1e-10 * np.abs(x).max()
+            assert np.abs(u.ravel()[free] - xj).max() <= 1e-10 * np.abs(xj).max()
+
+    @pytest.mark.parametrize("whole_block", [False, True], ids=["edge", "whole-block"])
+    @pytest.mark.parametrize("kind", ["bonds", "q4"])
+    def test_solves_match_direct(self, kind, whole_block, monkeypatch):
+        solver, k, base = self._factored(kind, monkeypatch, whole_block)
+        b = np.random.default_rng(1).normal(size=(len(solver.free), 8))
+        x1, x8 = solver.lu.solve(b[:, 0]), solver.lu.solve(b)
+        assert x1.shape == (len(solver.free),) and x8.shape == b.shape
+        self._assert_solved(solver, k, base, b[:, 0], x1, direct=[0])
+        self._assert_solved(solver, k, base, b, x8, direct=[0, 7])
+
+    @pytest.mark.parametrize("kind", ["bonds", "q4"])
+    def test_sparse_right_hand_sides(self, kind, monkeypatch):
+        solver, k, base = self._factored(kind, monkeypatch)
+        n, fronts = len(solver.free), solver.lu.fronts
+        # the first front in postorder is a leaf, the last the root separator
+        leaf, root = fronts[0][0], fronts[-1][0]
+        unit = np.zeros((n, 3))
+        unit[leaf, 0] = unit[root, 1] = 1.0
+        unit[:, 2] = np.random.default_rng(2).normal(size=n)
+        calls = []
+        monkeypatch.setattr(pd_core, "dtrsm", lambda *a, **kw: calls.append(1) or dtrsm(*a, **kw))
+        self._assert_solved(solver, k, base, unit[:, 1], solver.lu.solve(unit[:, 1]),
+                            direct=[0])
+        # the forward sweep of a root column visits the root front alone
+        assert len(calls) == len(fronts) + 1
+        self._assert_solved(solver, k, base, unit[:, 0], solver.lu.solve(unit[:, 0]),
+                            direct=[0])
+        self._assert_solved(solver, k, base, unit[:, :2], solver.lu.solve(unit[:, :2]),
+                            direct=[0, 1])
+        self._assert_solved(solver, k, base, unit, solver.lu.solve(unit), direct=[0, 1])
+
+    @pytest.mark.parametrize("kind", ["bonds", "q4"])
+    def test_zero_and_nan_right_hand_sides(self, kind, monkeypatch):
+        solver, k, base = self._factored(kind, monkeypatch)
+        n = len(solver.free)
+        for shape in ((n,), (n, 3)):
+            x = solver.lu.solve(np.zeros(shape))
+            assert x.shape == shape and np.array_equal(x, np.zeros(shape))
+        b = np.zeros(n)
+        b[solver.lu.fronts[0][0]] = np.nan
+        # a NaN row is not skipped: it reaches the root, and from there every row
+        assert np.isnan(solver.lu.solve(b)).all()
+
+    def test_duplicate_entries_are_summed(self):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(6, 6))
+        dense = g @ g.T + 6 * np.eye(6)
+        share = rng.uniform(0.2, 0.8, size=(6, 6))
+        # every entry stored twice, as two unequal parts
+        split = sp.csr_matrix((np.hstack([share * dense, (1 - share) * dense]).ravel(),
+                               np.tile(np.arange(12) % 6, 6), 12 * np.arange(7)),
+                              shape=(6, 6))
+        before = [arr.copy() for arr in (split.data, split.indices, split.indptr)]
+        assert split.nnz == 72 and not split.has_canonical_format
+        b = rng.normal(size=6)
+        for a in (sp.csr_matrix(dense), split):
+            x = pd_core.MultifrontalCholesky(a, [2, 4], [(), (0,)]).solve(b)
+            assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert all(np.array_equal(arr, old) for arr, old in
+                   zip((split.data, split.indices, split.indptr), before))
+
+    @pytest.mark.parametrize("kind", ["bonds", "q4"])
+    def test_fill_counts_match_fronts(self, kind, monkeypatch):
+        # perfbench's fill counter reads lu.L.nnz + lu.U.nnz
+        lu = self._factored(kind, monkeypatch)[0].lu
+        expect = sum(p * (p + 1) // 2 + p * len(bnd)
+                     for p, bnd in ((e - s, bnd) for s, e, bnd, _, _ in lu.fronts))
+        assert type(lu.L.nnz) is int and type(lu.U.nnz) is int
+        assert lu.L.nnz == lu.U.nnz == expect > 0
 
     def _no_shear(self):
         # horizon 1.2 at spacing 1: nearest-neighbour bonds only, so the
