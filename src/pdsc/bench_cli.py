@@ -90,6 +90,9 @@ class ExperimentConfig:
         bad = [v for v in self.variants if v not in VARIANTS[self.experiment]]
         if bad:
             raise ConfigError(f"variant(s) {bad} invalid for {self.experiment}")
+        repeated = sorted({v for v in self.variants if self.variants.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"variant(s) {repeated} given more than once")
         bad = [f.name for f in dataclasses.fields(self)
                if f.type == "float" and not np.isfinite(getattr(self, f.name))]
         if bad:
@@ -163,7 +166,10 @@ def _coerce(key: str, raw: str):
 def read_config_file(path) -> dict:
     """Parse a ``key = value`` text file; '#' starts a comment."""
     overrides = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

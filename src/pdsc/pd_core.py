@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky
 from scipy.linalg.blas import dgemm, dgemv, dnrm2, dsyrk, dtrsm
 
@@ -80,7 +79,6 @@ class SolveDiagnostics:
     method: str
     iterations: int
     residual: float
-    converged: bool
 
 
 def assemble(nodes: NodeSet, bonds: BondTable,
@@ -113,20 +111,21 @@ def assemble(nodes: NodeSet, bonds: BondTable,
     return (coupling + coupling.T + diag).tocsr()
 
 
-def _pcg(matvec, rhs: np.ndarray, diag: np.ndarray, tol: float,
+def _pcg(a: sp.csr_matrix, rhs: np.ndarray, tol: float,
          max_iter: int) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned conjugate gradients for SPD systems."""
+    """Jacobi-preconditioned conjugate gradients for an SPD matrix ``a``."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     ref = np.linalg.norm(rhs)
     if ref == 0.0:
         return x, 0, 0.0
+    diag = a.diagonal()
     inv_diag = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
     z = inv_diag * r
     p = z.copy()
     rz = r @ z
     for it in range(1, max_iter + 1):
-        q = matvec(p)
+        q = a @ p
         pq = p @ q
         if not pq > 0.0:
             raise SolverFailure(f"pcg breakdown at iteration {it}: p.Kp = {pq:.3e}")
@@ -300,7 +299,7 @@ class MultifrontalCholesky:
         the others would pass zeros on. The backward sweep visits them all.
         """
         x = np.array(b, dtype=float)
-        v = x.reshape(len(x), -1)
+        v = x[:, None] if x.ndim == 1 else x  # a view: writes go through to x
         live = (v != 0).any(axis=1)  # NaN != 0 too
         if not live.any():
             return x
@@ -316,35 +315,15 @@ class MultifrontalCholesky:
         return x
 
 
-def _direct(kff: sp.csr_matrix, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
-    """Sparse LU with iterative refinement down to the requested residual."""
-    ref = np.linalg.norm(rhs)
-    if ref == 0.0:
-        return np.zeros_like(rhs), 0, 0.0
-    # symmetric-mode ordering is several times faster than the default on
-    # these wide-stencil operators
-    lu = spla.splu(kff.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
-    x = lu.solve(rhs)
-    res = np.linalg.norm(rhs - kff @ x) / ref
-    rounds = 0
-    while res > tol and rounds < 4:
-        x += lu.solve(rhs - kff @ x)
-        res = np.linalg.norm(rhs - kff @ x) / ref
-        rounds += 1
-    return x, rounds, res
-
-
-def solve_static(k: sp.csr_matrix, bcs: BCSet, tol: float = 1e-10,
-                 max_iter: int | None = None,
-                 method: str = "pcg") -> tuple[np.ndarray, SolveDiagnostics]:
+def solve_static(k: sp.csr_matrix, bcs: BCSet,
+                 tol: float = 1e-10) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve K u = b with prescribed dofs eliminated.
 
-    The residual contract is ||K_ff u_f - (b_f - K_fp u_p)|| / ||rhs|| <= tol;
-    failure to converge raises SolverFailure. ``method`` is "pcg" (the
-    default, Jacobi-preconditioned conjugate gradients with at most
-    ``ceil(50 sqrt(nfree))`` iterations unless ``max_iter`` is given) or
-    "direct" (sparse LU with iterative refinement, the independent reference).
+    The residual contract is ||K_ff u_f - (b_f - K_fp u_p)|| / ||rhs|| <= tol,
+    met by Jacobi-preconditioned conjugate gradients in at most
+    ``ceil(50 sqrt(nfree))`` iterations; a breakdown or a stall raises
+    SolverFailure. The tests check it against ``analytic.dense_oracle_solve``
+    and the :class:`MultifrontalCholesky` of a :class:`RampSolver`.
     """
     bcs.validate()
     ndof = k.shape[0]
@@ -355,24 +334,15 @@ def solve_static(k: sp.csr_matrix, bcs: BCSet, tol: float = 1e-10,
     b = bcs.loads.ravel()
     nfree = int(free.sum())
     if nfree == 0:
-        return u.reshape(-1, 2), SolveDiagnostics("none", 0, 0.0, True)
+        return u.reshape(-1, 2), SolveDiagnostics("none", 0, 0.0)
     rhs = (b - k @ u)[free]
     kff = k[free][:, free]
-    if method == "pcg":
-        if max_iter is None:
-            max_iter = int(np.ceil(50 * np.sqrt(nfree)))
-        diag = kff.diagonal()
-        uf, iters, res = _pcg(lambda v: kff @ v, rhs, diag, tol, max_iter)
-    elif method == "direct":
-        uf, iters, res = _direct(kff, rhs, tol)
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
-    converged = res <= tol
-    if not converged:
+    uf, iters, res = _pcg(kff, rhs, tol, int(np.ceil(50 * np.sqrt(nfree))))
+    if not res <= tol:
         raise SolverFailure(
-            f"{method} solve stalled at relative residual {res:.3e} (tol {tol:.1e})")
+            f"pcg solve stalled at relative residual {res:.3e} (tol {tol:.1e})")
     u[free] = uf
-    return u.reshape(-1, 2), SolveDiagnostics(method, iters, float(res), converged)
+    return u.reshape(-1, 2), SolveDiagnostics("pcg", iters, float(res))
 
 
 def strain_energy_density(nodes: NodeSet, bonds: BondTable,
@@ -575,6 +545,8 @@ class RampSolver:
         values = np.asarray(values, dtype=float)
         if not np.isfinite(values).all():
             raise SolverFailure("ramp solve given non-finite contact values")
+        if not len(self.free):  # the base set prescribes every dof
+            return self.u_base.reshape(-1, 2).copy(), SolveDiagnostics("direct", 0, 0.0)
         uf = self.y.copy()
         if self.cdofs:
             lam = cho_solve(self._gram_factor, uf[self.cdofs] - values, check_finite=False)
@@ -597,7 +569,7 @@ class RampSolver:
                 f"ramp solve stalled at relative residual {res:.3e} (tol {self.tol:.1e})")
         u = self.u_base.copy()
         u[self.free] = uf
-        return u.reshape(-1, 2), SolveDiagnostics("direct", rounds, float(res), True)
+        return u.reshape(-1, 2), SolveDiagnostics("direct", rounds, float(res))
 
 
 @dataclass

@@ -73,18 +73,44 @@ class TestConfig:
             config_path=ROOT / "configs" / f"{name}.cfg")
 
 
-def test_benchmark_layer_table_names_exist():
-    # the benchmark wraps these attributes by name; a missing one breaks
-    # every traced run
+def perfbench_layers():
     spec = importlib.util.spec_from_file_location(
         "perfbench_layers", ROOT / "perfbench" / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_benchmark_layer_table_names_exist():
+    # the benchmark wraps these attributes by name; a missing one breaks
+    # every traced run
+    layers = perfbench_layers()
     table = layers._layer_table(geometry, material, pd_core, fem_ref, analytic,
                                 bench_cli)
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _, _ in table if attr not in vars(owner)]
     assert not missing
+
+
+def test_benchmark_tracer_counts_and_restores(tmp_path):
+    # a traced benchmark run reads its counters off SolveDiagnostics and
+    # RampSolver; a change to either that breaks only traced runs shows here
+    layers = perfbench_layers()
+    tracer = layers.Tracer()
+    saved = layers.install(tracer)
+    try:
+        bench_cli.RUNNERS["tension"](small_tension(tmp_path / "t", variants=("corrected",)))
+        bench_cli.RUNNERS["indent"](dataclasses.replace(
+            default_config("indent"), size_x=16.0, size_y=16.0, spacing=0.5,
+            horizon=1.5, indenter_radius=6.0, depth_max=1.0, depth_steps=8,
+            variants=("corrected",), out=str(tmp_path / "i")))
+    finally:
+        layers.restore(saved)
+    counts = tracer.counts[tracer.request]
+    for name in ("pd_core.solve_static_calls", "pd_core.pcg_iters",
+                 "pd_core.ramp_steps", "pd_core.lu_fill_nnz"):
+        assert counts[name] > 0, name
+    assert saved and all(vars(owner)[attr] is raw for owner, attr, raw in saved)
 
 
 class TestTensionHarness:
@@ -144,6 +170,21 @@ class TestMainExitCodes:
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["tension", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_config_file_not_utf8_is_2(self, tmp_path, capsys):
+        p = tmp_path / "binary.cfg"
+        p.write_bytes(b"\xff\xfe")
+        assert main(["tension", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {p}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+    def test_variant_named_twice_on_the_command_line_is_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["clamped", "--variant", "corrected", "--variant", "corrected"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("configuration error: variant(s) "
+                                           "['corrected'] given more than once\n")
+        assert not out.exists()
+
     def test_config_for_another_experiment_is_2(self, tmp_path, capsys):
         config = ROOT / "configs" / "calibrate.cfg"
         assert main(["tension", "--config", str(config), "--out", str(tmp_path)]) == 2
@@ -185,6 +226,7 @@ class TestMainExitCodes:
         ("calibrate", "spacing = nan\n"),
         ("tension", "horizon = inf\n"),
         ("indent", "depth_max = nan\n"),
+        ("clamped", "variants = fem,fem\n"),
         # a relative residual of 0 is out of reach, and one of 1 or more is
         # met before any solve
         ("tension", "size_x = 10\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\ntol = 0\n"),
@@ -197,7 +239,7 @@ class TestMainExitCodes:
             "clamped-empty-edge", "indent-empty-edge", "indent-zero-radius",
             "indent-zero-depth", "indent-depth-over-radius", "indent-depth-at-radius",
             "indent-chord-over-block", "nan-spacing", "inf-horizon", "nan-depth",
-            "zero-tol", "negative-tol", "unit-tol"])
+            "repeated-variant", "zero-tol", "negative-tol", "unit-tol"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
