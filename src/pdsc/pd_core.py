@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky
 from scipy.linalg.blas import dgemm, dgemv, dnrm2, dsyrk, dtrsm
 
-from .geometry import BondTable, NodeSet
+from .geometry import BondTable, GeometryError, NodeSet
 from .material import CorrectionField
 
 
@@ -600,6 +600,99 @@ class IndentationResult:
     iterations: list
 
 
+_FLIP = np.array([-1.0, 1.0])  # the mirror x -> -x acting on (u_x, u_y)
+
+
+def _mirror_map(positions: np.ndarray) -> np.ndarray:
+    """Id of each node's mirror image across x = 0.
+
+    Coordinates are keyed to multiples of half their smallest gap, so distinct
+    coordinates get distinct keys and the image of key ``(i, j)`` is the node
+    keyed ``(-i, j)``. A node whose image is no node raises GeometryError.
+    """
+    gap = min(np.diff(np.unique(positions[:, a])).min(initial=np.inf) for a in (0, 1))
+    key = np.rint(positions / (0.5 * gap)).astype(np.int64)
+    rows = key[:, 1].max() - key[:, 1].min() + 1
+    code, image = (s * key[:, 0] * rows + key[:, 1] for s in (1, -1))
+    order = np.argsort(code)
+    mirror = order[np.searchsorted(code, image, sorter=order).clip(max=len(code) - 1)]
+    lost = np.flatnonzero((code[mirror] != image) | (np.abs(
+        positions[mirror] * _FLIP - positions).max(axis=1) > 1e-6 * gap))
+    if len(lost):
+        x, y = positions[lost[0]]
+        raise GeometryError(f"{len(lost)} node(s) have no mirror image across x = 0, "
+                            f"the first node {lost[0]} at ({x:g}, {y:g})")
+    return mirror
+
+
+def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
+                 surface_ids: np.ndarray):
+    """The ramp on the half x >= 0 of a set-up symmetric about x = 0.
+
+    Every field of such a set-up satisfies ``u(-x, y) = (-u_x, u_y)``, so
+    ``u = P v`` for a field ``v`` of the half: each node takes the field of
+    its own or its mirror image's half node, with ``u_x`` negated on the
+    other side and ``u_x = 0`` on x = 0. Checked first, with ``R`` the mirror
+    and its ``u_x`` flip: ``||R K R^T - K||_F <= 1e-12 ||K||_F``; the base
+    set's prescribed dofs map onto themselves, with values and loads odd in
+    ``u_x`` and even in ``u_y``; the surface maps onto itself. A failed check
+    raises GeometryError naming it.
+
+    Returns the half's node ids, their mirror images' ids (their own on
+    x = 0), ``K_s = P^T K P`` and the half's base set: the half's own, plus
+    ``u_x = 0`` on x = 0, with the loads ``P^T f``.
+    """
+    n = len(positions)
+    mirror = _mirror_map(positions)
+    rdof = np.stack([2 * mirror, 2 * mirror + 1], axis=1).ravel()
+    flip = np.tile(_FLIP, n)
+    k = sp.csr_matrix(k)
+    rk = k[rdof]
+    rkr = sp.csr_matrix((rk.data * flip[rk.indices] * np.repeat(flip, np.diff(rk.indptr)),
+                         rdof[rk.indices], rk.indptr), shape=k.shape)
+    asym = np.linalg.norm((rkr - k).data) / (np.linalg.norm(k.data) or 1.0)
+    if not asym <= 1e-12:
+        raise GeometryError("the operator is not mirror-symmetric about x = 0: "
+                            f"||R K R^T - K||_F / ||K||_F = {asym:.3g}")
+    mask, value, loads = (base_bcs.prescribed_mask, base_bcs.prescribed_value,
+                          base_bcs.loads)
+
+    def skewed(a):  # departs from u(-x, y) = (-u_x, u_y) beyond rounding
+        return np.abs(a[mirror] * _FLIP - a).max() > 1e-12 * np.abs(a).max()
+
+    surface = np.unique(surface_ids)
+    for broken, what in (
+            (not np.array_equal(mask[mirror], mask),
+             "base set prescribes a dof whose mirror image is free"),
+            (skewed(np.where(mask, value, 0.0)),
+             "base set's prescribed values are not odd in u_x and even in u_y"),
+            (skewed(loads), "base set's loads are not odd in u_x and even in u_y"),
+            (not np.array_equal(np.unique(mirror[surface]), surface),
+             "surface is not mirror-symmetric")):
+        if broken:
+            raise GeometryError(f"the indentation {what} about x = 0")
+    axis = mirror == np.arange(n)
+    right = positions[:, 0] > 0
+    ids = np.flatnonzero(right | axis)
+    src = np.empty(n, dtype=np.int64)
+    src[ids] = np.arange(len(ids))
+    src[~right] = src[mirror[~right]]
+    # P^T K P: a half row of K P, twice off the axis; on the axis P has no
+    # u_x column and its u_y column takes the row once
+    colfac = np.where(axis[:, None], [0.0, 1.0], np.where(right[:, None], 1.0, _FLIP))
+    rowfac = np.where(axis[ids, None], [0.0, 1.0], 2.0)
+    hk = k[np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()]
+    ks = sp.csr_matrix((hk.data * colfac.ravel()[hk.indices]
+                        * np.repeat(rowfac.ravel(), np.diff(hk.indptr)),
+                        (2 * src[:, None] + [0, 1]).ravel()[hk.indices], hk.indptr),
+                       shape=(2 * len(ids),) * 2)
+    ks.sum_duplicates()
+    base = BCSet(len(ids), mask[ids] | (axis[ids, None] & [True, False]),
+                 np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
+                 loads[ids] * rowfac)
+    return ids, mirror[ids], ks, base
+
+
 def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
                     surface_ids: np.ndarray, radius: float, depths: np.ndarray,
                     bonds: BondTable | None = None, tol: float = 1e-10) -> IndentationResult:
@@ -614,6 +707,14 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     operator is factorized once and contacts are appended incrementally. A
     step whose solve stalls raises SolverFailure naming its depth.
 
+    The lattice, ``k``, the base set and the surface must be mirror-symmetric
+    about x = 0, else GeometryError (a ValueError). The ramp then solves on
+    the half x >= 0 (see :func:`_mirror_half`), contact detection included;
+    a stuck node on x = 0 holds only its ``u_y``, its ``u_x = 0`` being in
+    the half's base set. The inversion scan, the reaction and the result see
+    the whole field, and the stuck set holds both nodes of each mirror pair,
+    with mirrored offsets, attached per step in node id order.
+
     The scan goes through an :class:`InversionScreen` built once per ramp: it
     hands :func:`check_bond_inversion` only the bonds whose cell pair's
     displacement span could reverse them, and its result is the full scan's.
@@ -621,9 +722,14 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
     state = IndenterState(radius=radius, top_y=top_y)
-    solver = RampSolver(k, base_bcs, positions, tol=tol)
+    ids, image, ks, base = _mirror_half(positions, k, base_bcs, surface_ids)
+    half, pair = positions[ids], image != ids
+    solver = RampSolver(ks, base, half, tol=tol)
     screen = InversionScreen(positions, bonds) if bonds is not None else None
-    u = np.zeros_like(positions)
+    surface = np.flatnonzero(np.isin(ids, surface_ids))
+    u, v = np.zeros_like(positions), np.zeros_like(half)
+    stuck, offsets = np.empty(0, dtype=int), np.empty((0, 2))  # on the half
+    held = np.empty((0, 2), dtype=bool)  # their constrained dofs
     out_depths, out_forces, out_stuck, iters = [], [], [], []
     failed = False
     failure_depth = None
@@ -632,30 +738,39 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
         state.depth = float(depth)
         center = state.center
         # detect new contacts from the previously converged configuration
-        candidates = np.setdiff1d(surface_ids, state.stuck_ids, assume_unique=False)
-        cur = positions[candidates] + u[candidates]
-        dist = np.linalg.norm(cur - center, axis=1)
-        newly = np.sort(candidates[dist < radius * (1 - 1e-12)])
+        candidates = np.setdiff1d(surface, stuck)
+        dist = np.linalg.norm(half[candidates] + v[candidates] - center, axis=1)
+        newly = candidates[dist < radius * (1 - 1e-12)]
         if len(newly) > 0:
-            rel_new = (positions[newly] + u[newly]) - center
+            rel_new = (half[newly] + v[newly]) - center
             d_new = np.linalg.norm(rel_new, axis=1)
-            offsets = rel_new * (radius / d_new)[:, None]
-            state.stuck_ids = np.concatenate([state.stuck_ids, newly])
-            state.attach_offsets = np.vstack([state.attach_offsets, offsets])
-            solver.add_constraints(
-                np.stack([2 * newly, 2 * newly + 1], axis=1).ravel())
-        target = center[None, :] + state.attach_offsets - positions[state.stuck_ids]
+            new_offsets = rel_new * (radius / d_new)[:, None]
+            mirrored = pair[newly]
+            new_held = np.stack([mirrored, np.ones_like(mirrored)], axis=1)
+            stuck = np.concatenate([stuck, newly])
+            offsets = np.vstack([offsets, new_offsets])
+            held = np.vstack([held, new_held])
+            solver.add_constraints(np.stack([2 * newly, 2 * newly + 1], axis=1)[new_held])
+            full = np.concatenate([ids[newly], image[newly[mirrored]]])
+            order = np.argsort(full)
+            state.stuck_ids = np.concatenate([state.stuck_ids, full[order]])
+            state.attach_offsets = np.vstack([state.attach_offsets, np.vstack(
+                [new_offsets, new_offsets[mirrored] * _FLIP])[order]])
+        target = center[None, :] + offsets - half[stuck]
         try:
-            u_new, diag = solver.solve(target.ravel())
+            v_new, diag = solver.solve(target[held])
         except SolverFailure as exc:
             raise SolverFailure(f"at depth {depth:g} mm: {exc}") from exc
+        u_new = np.empty_like(u)
+        u_new[image] = v_new * _FLIP
+        u_new[ids] = v_new
         if screen is not None:
             inverted = screen.inverted(u_new)
             if len(inverted) > 0:
                 failed = True
                 failure_depth = float(depth)
                 break
-        u = u_new
+        u, v = u_new, v_new
         if len(state.stuck_ids) > 0:
             # prescribing the stuck nodes leaves the loads the reaction subtracts
             force = reaction_force(k, u, base_bcs, state.stuck_ids)[1]

@@ -222,6 +222,9 @@ class TestMainExitCodes:
                    "indenter_radius = 1\ndepth_max = 1\ndepth_steps = 1\n"),
         # contact chord 2 sqrt(2 R d - d^2) = 14.97 mm at R = 15, d = 2
         ("indent", "size_x = 14\nsize_y = 14\nspacing = 0.5\nhorizon = 1.5\n"),
+        # 20.2 spacings: the nodes span -5.05..4.95, off-centre under the punch
+        ("indent", "size_x = 10.1\nsize_y = 10\nspacing = 0.5\nhorizon = 1.5\n"
+                   "indenter_radius = 6\ndepth_max = 1\ndepth_steps = 2\n"),
         # every range check is false for NaN
         ("calibrate", "spacing = nan\n"),
         ("tension", "horizon = inf\n"),
@@ -238,7 +241,7 @@ class TestMainExitCodes:
             "spacing-at-horizon", "clamped-not-square", "clamped-fem-off-grid",
             "clamped-empty-edge", "indent-empty-edge", "indent-zero-radius",
             "indent-zero-depth", "indent-depth-over-radius", "indent-depth-at-radius",
-            "indent-chord-over-block", "nan-spacing", "inf-horizon", "nan-depth",
+            "indent-chord-over-block", "indent-off-centre", "nan-spacing", "inf-horizon", "nan-depth",
             "repeated-variant", "zero-tol", "negative-tol", "unit-tol"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
