@@ -277,6 +277,18 @@ class TestMainExitCodes:
         assert re.fullmatch(r"solver failure: the factor of \d+ unknowns needs about "
                             r"\S+ GB, more than the 0.001 GB available\n", err)
 
+    def test_asymmetric_indent_is_2(self, tmp_path, capsys, monkeypatch):
+        # no valid config builds one, so one corner leaves the punched surface
+        real = pd_core.run_indentation
+        monkeypatch.setattr(pd_core, "run_indentation", lambda positions, k, base, top,
+                            *args, **kw: real(positions, k, base, top[1:], *args, **kw))
+        p = tmp_path / "indent.cfg"
+        p.write_text("size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
+                     "indenter_radius = 6\ndepth_max = 1.0\ndepth_steps = 8\n")
+        assert main(["indent", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("configuration error: the indentation "
+                                           "surface is not mirror-symmetric about x = 0\n")
+
     @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
     def test_unusable_out_is_2(self, tmp_path, capsys, where):
         blocker = tmp_path / "taken"

@@ -646,10 +646,40 @@ class TestRampSolver:
             solver.solve(values)
 
 
+def full_ramp(positions, k, base, surface, radius, depths, bonds):
+    """The indentation ramp solved on the whole lattice, as a reference.
+
+    Returns the forces and stuck counts per converged depth, the stuck ids and
+    offsets in attach order and the inverted bonds of the aborting step.
+    """
+    solver = RampSolver(k, base, positions)
+    top = positions[surface, 1].max()
+    u = np.zeros_like(positions)
+    stuck, offsets, forces, counts = np.empty(0, dtype=int), np.empty((0, 2)), [], []
+    inverted = np.empty(0, dtype=int)
+    for depth in depths:
+        center = np.array([0.0, top + radius - depth])
+        free = np.setdiff1d(surface, stuck)
+        rel = positions[free] + u[free] - center
+        hit = np.linalg.norm(rel, axis=1) < radius * (1 - 1e-12)
+        stuck = np.concatenate([stuck, free[hit]])
+        offsets = np.vstack([offsets, rel[hit] * (radius / np.linalg.norm(
+            rel[hit], axis=1))[:, None]])
+        solver.add_constraints(np.stack([2 * free[hit], 2 * free[hit] + 1], axis=1).ravel())
+        u_new, _ = solver.solve((center + offsets - positions[stuck]).ravel())
+        inverted = pd_core.check_bond_inversion(bonds, u_new)
+        if len(inverted):
+            break
+        u = u_new
+        forces.append(abs(pd_core.reaction_force(k, u, base, stuck)[1]))
+        counts.append(len(stuck))
+    return np.array(forces), np.array(counts), stuck, offsets, inverted
+
+
 class TestIndentationRamp:
-    def _setup(self, surfaces="all"):
+    def _setup(self, surfaces="all", width=12):
         spacing, horizon = 0.5, 1.5
-        dom = Domain.rectangle(12, 8)
+        dom = Domain.rectangle(width, 8)
         nodes = geo.build_grid(dom, GridSpec.covering(dom, spacing))
         bonds = geo.build_bonds(nodes, horizon)
         m = MaterialModel.calibrated(ElasticParams(E, 1.0), horizon, "constant",
@@ -717,3 +747,57 @@ class TestIndentationRamp:
         with pytest.raises(SolverFailure, match=r"^at depth 0\.05 mm: ramp solve stalled"):
             pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
                                     np.array([0.05, 0.1]), bonds=bonds, tol=1e-300)
+
+    @pytest.mark.parametrize("surfaces", ["all", None], ids=["corrected", "uncorrected"])
+    @pytest.mark.parametrize("width", [12, 11.5], ids=["axis-column", "no-axis-column"])
+    def test_half_matches_full_ramp(self, width, surfaces):
+        # 25 columns with one on x = 0, or 24 with none; the uncorrected
+        # block reverses bonds at 1.6 mm and aborts
+        nodes, bonds, k, base, top = self._setup(surfaces, width)
+        depths = np.linspace(0.1, 1.6, 16)
+        res = pd_core.run_indentation(nodes.positions, k, base, top, 4.0, depths,
+                                      bonds=bonds)
+        forces, counts, stuck, offsets, inverted = full_ramp(
+            nodes.positions, k, base, top, 4.0, depths, bonds)
+        assert res.failed == (surfaces is None) == (len(inverted) > 0)
+        np.testing.assert_allclose(res.forces, forces, rtol=1e-10, atol=0)
+        assert np.array_equal(res.stuck_counts, counts)
+        assert np.array_equal(res.indenter.stuck_ids, stuck)
+        np.testing.assert_allclose(res.indenter.attach_offsets, offsets, rtol=0, atol=1e-12)
+        assert np.array_equal(res.inverted_bonds, inverted)
+
+    def _asymmetric(self, what):
+        nodes, bonds, k, base, top = self._setup()
+        positions, x = nodes.positions, nodes.positions[:, 0]
+        if what == "mirror-missing":
+            keep = np.flatnonzero(~((x == 2.5) & (positions[:, 1] == 0)))
+            dofs = np.stack([2 * keep, 2 * keep + 1], axis=1).ravel()
+            sub = BCSet(len(keep), base.prescribed_mask[keep], base.prescribed_value[keep])
+            return positions[keep], k[dofs][:, dofs], sub, np.searchsorted(keep, top)
+        if what == "perturbed-pair":
+            # K = K^T still, but the pair couples two nodes of one side only
+            a, b = 2 * np.flatnonzero((x == 2.5) & (positions[:, 1] == 0))[0] + [0, 2]
+            k = k.tolil()
+            k[a, b] += 1e-6 * abs(k[a, a])
+            k[b, a] += 1e-6 * abs(k[a, a])
+            k = k.tocsr()
+        elif what == "one-sided-base":
+            base.prescribe(np.flatnonzero(x == -6), ux=0.0)
+        elif what == "even-ux":
+            base.prescribe(np.flatnonzero(np.abs(x) == 6), ux=0.01)
+        else:
+            top = top[x[top] <= 4]
+        return positions, k, base, top
+
+    @pytest.mark.parametrize("what, message", [
+        ("mirror-missing", r"^1 node\(s\) have no mirror image across x = 0"),
+        ("perturbed-pair", r"^the operator is not mirror-symmetric about x = 0: "
+                           r"\|\|R K R\^T - K\|\|_F / \|\|K\|\|_F = \d"),
+        ("one-sided-base", r"prescribes a dof whose mirror image is free"),
+        ("even-ux", r"prescribed values are not odd in u_x"),
+        ("one-sided-surface", r"surface is not mirror-symmetric"),
+    ])
+    def test_asymmetric_set_up_is_refused(self, what, message):
+        positions, k, base, top = self._asymmetric(what)
+        with pytest.raises(ValueError, match=message):
+            pd_core.run_indentation(positions, k, base, top, 4.0, np.array([0.1]))
