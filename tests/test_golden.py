@@ -98,29 +98,29 @@ GOLDEN = {
     "indent-plain": {
         "exit": 0,
         "csv": {
-            "corrected/curve.csv": "e87fa2da8a6133bcb46275e8fac3e113bbb0a711f28935a7d01c6012caedac49",
-            "corrected/fields.csv": "582a4c2832f8da5d9bcfb9708401ef2341c09424bf650e99fcf003cdef567df6",
-            "fem/curve.csv": "3e567986ef98a9311d36e666ff896d207287833c24abdd20e6abe65a86bf19b4",
-            "fem/fields.csv": "4e3992ecf18087c43c38587dca09d7a5f5b140e1e69a224ef8d5751afbf8ec79",
-            "uncorrected/curve.csv": "55e44d9a1e13d8f6b078129729b35049dbcd89a0d3fb8dd347f12c754b5bc897",
-            "uncorrected/fields.csv": "79c672f269cfc2b6a9f4dbf11ec0e011b78c27b8b22c4d0950cd6b82c54aadf0",
+            "corrected/curve.csv": "0fdf1b934cbcda0c3d04de27eddf791eac7488b05fddf66ef54bc4d0f820b9be",
+            "corrected/fields.csv": "7c411dcec000bc74040c4526f1480e2abec946645a705ef3b49cefadac2b2852",
+            "fem/curve.csv": "2bb1d3894dd12a81e450246902dee8f7e8f1691f54162defe803274bac5309e4",
+            "fem/fields.csv": "907dbe305cd74a1e704b65b8066b9c9aeac96c4b2bbbb835e5746ab4fce89b76",
+            "uncorrected/curve.csv": "44df2866a40d95a950afe09a357b834434a67f23b61956d96f4644e6de4c7199",
+            "uncorrected/fields.csv": "fd3e72e42fb23db9a04ee80e7dea98204407cb3b6e69688cbd2e1b20f41700c7",
         },
-        "metrics": "d80bd22840b1c98f9b6587c149164ce26178cccec11e3d6864cc5ba923f816cb",
+        "metrics": "4f9b5db244bc9ec70d0dc31eef9178b6c07e9a262478586b26e5cf78f2985d49",
         "artifacts": "97278f3a2fd0a14e07cbe35b0f4c452707a1f18af865014837b5e9670b8e34fa",
     },
     "indent-dump": {
         "exit": 0,
         "csv": {
             "corrected/bonds.csv": "5db5a96c0da48b30ebd08edd824198abc7b8eb170253605c92148f7692fb7d57",
-            "corrected/curve.csv": "e87fa2da8a6133bcb46275e8fac3e113bbb0a711f28935a7d01c6012caedac49",
-            "corrected/fields.csv": "582a4c2832f8da5d9bcfb9708401ef2341c09424bf650e99fcf003cdef567df6",
-            "fem/curve.csv": "3e567986ef98a9311d36e666ff896d207287833c24abdd20e6abe65a86bf19b4",
-            "fem/fields.csv": "4e3992ecf18087c43c38587dca09d7a5f5b140e1e69a224ef8d5751afbf8ec79",
+            "corrected/curve.csv": "0fdf1b934cbcda0c3d04de27eddf791eac7488b05fddf66ef54bc4d0f820b9be",
+            "corrected/fields.csv": "7c411dcec000bc74040c4526f1480e2abec946645a705ef3b49cefadac2b2852",
+            "fem/curve.csv": "2bb1d3894dd12a81e450246902dee8f7e8f1691f54162defe803274bac5309e4",
+            "fem/fields.csv": "907dbe305cd74a1e704b65b8066b9c9aeac96c4b2bbbb835e5746ab4fce89b76",
             "uncorrected/bonds.csv": "bc8808cc239ad253bc6aff0d6106e73d282b4ed9efa1d44ac96a7f009542399e",
-            "uncorrected/curve.csv": "55e44d9a1e13d8f6b078129729b35049dbcd89a0d3fb8dd347f12c754b5bc897",
-            "uncorrected/fields.csv": "79c672f269cfc2b6a9f4dbf11ec0e011b78c27b8b22c4d0950cd6b82c54aadf0",
+            "uncorrected/curve.csv": "44df2866a40d95a950afe09a357b834434a67f23b61956d96f4644e6de4c7199",
+            "uncorrected/fields.csv": "fd3e72e42fb23db9a04ee80e7dea98204407cb3b6e69688cbd2e1b20f41700c7",
         },
-        "metrics": "d80bd22840b1c98f9b6587c149164ce26178cccec11e3d6864cc5ba923f816cb",
+        "metrics": "4f9b5db244bc9ec70d0dc31eef9178b6c07e9a262478586b26e5cf78f2985d49",
         "artifacts": "a810fcb22d196a76683fbc1c73f99fa00d5a650d7ebcbfb6dd9528e034e168ac",
     },
     "tension-plain": {
