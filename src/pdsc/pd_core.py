@@ -644,13 +644,19 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     """
     n = len(positions)
     mirror = _mirror_map(positions)
+    axis, right = mirror == np.arange(n), positions[:, 0] > 0
+    ids = np.flatnonzero(right | axis)
     rdof = np.stack([2 * mirror, 2 * mirror + 1], axis=1).ravel()
-    flip = np.tile(_FLIP, n)
+    hdof = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
     k = sp.csr_matrix(k)
-    rk = k[rdof]
-    rkr = sp.csr_matrix((rk.data * flip[rk.indices] * np.repeat(flip, np.diff(rk.indptr)),
-                         rdof[rk.indices], rk.indptr), shape=k.shape)
-    asym = np.linalg.norm((rkr - k).data) / (np.linalg.norm(k.data) or 1.0)
+    hk, rk = k[hdof], k[rdof[hdof]]
+    # the half's rows of R K R^T - K; the other rows are their images
+    flip = np.tile(_FLIP, n)
+    d = sp.csr_matrix((rk.data * flip[rk.indices] * np.repeat(flip[hdof], np.diff(rk.indptr)),
+                       rdof[rk.indices], rk.indptr), shape=hk.shape) - hk
+    twice = np.repeat(np.where(axis[ids], 1.0, 2.0), 2)
+    asym = np.sqrt(twice @ np.bincount(np.repeat(np.arange(len(hdof)), np.diff(d.indptr)),
+                                      d.data ** 2, len(hdof))) / (np.linalg.norm(k.data) or 1.0)
     if not asym <= 1e-12:
         raise GeometryError("the operator is not mirror-symmetric about x = 0: "
                             f"||R K R^T - K||_F / ||K||_F = {asym:.3g}")
@@ -671,9 +677,6 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
              "surface is not mirror-symmetric")):
         if broken:
             raise GeometryError(f"the indentation {what} about x = 0")
-    axis = mirror == np.arange(n)
-    right = positions[:, 0] > 0
-    ids = np.flatnonzero(right | axis)
     src = np.empty(n, dtype=np.int64)
     src[ids] = np.arange(len(ids))
     src[~right] = src[mirror[~right]]
@@ -681,7 +684,6 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     # u_x column and its u_y column takes the row once
     colfac = np.where(axis[:, None], [0.0, 1.0], np.where(right[:, None], 1.0, _FLIP))
     rowfac = np.where(axis[ids, None], [0.0, 1.0], 2.0)
-    hk = k[np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()]
     ks = sp.csr_matrix((hk.data * colfac.ravel()[hk.indices]
                         * np.repeat(rowfac.ravel(), np.diff(hk.indptr)),
                         (2 * src[:, None] + [0, 1]).ravel()[hk.indices], hk.indptr),
