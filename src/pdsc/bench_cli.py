@@ -118,11 +118,6 @@ class ExperimentConfig:
             radius, depth = self.indenter_radius, self.depth_max
             if radius <= 0 or depth <= 0 or depth >= radius:
                 raise ConfigError("indent needs 0 < depth_max < indenter_radius")
-            spacings = self.size_x / self.spacing
-            if abs(spacings - round(spacings)) > 1e-9 * spacings:
-                raise ConfigError(f"indent needs size_x to be a whole number of spacings "
-                                  f"(it is {spacings:.6g}), so that the lattice is "
-                                  "symmetric about the punch at x = 0")
             chord = 2.0 * np.sqrt(2.0 * radius * depth - depth * depth)
             if chord > self.size_x:
                 raise ConfigError(f"the indenter's contact chord {chord:.6g} mm at "

@@ -451,6 +451,23 @@ class InversionScreen:
         return ids[check_bond_inversion(sub, u)]
 
 
+def _factor_free(k: sp.csr_matrix, pres: np.ndarray, positions: np.ndarray):
+    """The dofs not in ``pres``, ``k``'s block on them and its factor.
+
+    The free dofs are numbered by the :func:`nested_dissection` tree of the
+    nodes at ``positions``, both dofs of a node together, and the block is
+    factored by a :class:`MultifrontalCholesky` on that tree.
+    """
+    tree = nested_dissection(positions, k)
+    nodes = np.concatenate([ids for ids, _ in tree])
+    dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
+    free = dofs[~pres[dofs]]
+    # each block's free dofs are consecutive in this numbering
+    sizes = [(~pres[2 * ids]).sum() + (~pres[2 * ids + 1]).sum() for ids, _ in tree]
+    kff = k[free][:, free]
+    return free, kff, MultifrontalCholesky(kff, sizes, [kids for _, kids in tree])
+
+
 class RampSolver:
     """Repeated solves of one operator under a growing set of point constraints.
 
@@ -472,19 +489,12 @@ class RampSolver:
         self.tol = tol
         ndof = k.shape[0]
         pres = base_bcs.prescribed_mask.ravel()
-        tree = nested_dissection(positions, k)
-        nodes = np.concatenate([ids for ids, _ in tree])
-        dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
-        self.free = dofs[~pres[dofs]]
-        # each block's free dofs are consecutive in this numbering
-        sizes = [(~pres[2 * ids]).sum() + (~pres[2 * ids + 1]).sum() for ids, _ in tree]
+        self.free, self.kff, self.lu = _factor_free(k, pres, positions)
         self.local = np.full(ndof, -1, dtype=np.int64)
         self.local[self.free] = np.arange(len(self.free))
         self.u_base = np.zeros(ndof)
         self.u_base[pres] = base_bcs.prescribed_value.ravel()[pres]
         self.rhs = (base_bcs.loads.ravel() - k @ self.u_base)[self.free]
-        self.kff = k[self.free][:, self.free]
-        self.lu = MultifrontalCholesky(self.kff, sizes, [kids for _, kids in tree])
         self.y = self.lu.solve(self.rhs)       # unconstrained solution, cached
         self._cols = np.empty((len(self.free), 0), order="F")
         self.cdofs: list[int] = []                  # free-local constrained dofs
@@ -638,9 +648,16 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     ``u_x`` and even in ``u_y``; the surface maps onto itself. A failed check
     raises GeometryError naming it.
 
+    ``K`` is positive definite on the base set's free dofs only if both
+    ``K_s = P^T K P`` and its antisymmetric fold ``K_a = Q^T K Q`` are, ``Q``
+    keeping ``u_y`` odd and ``u_x`` even. The ramp never meets a field of
+    ``Q``, but ``K_a`` is factored once here, and dropped, so that a
+    mechanism of the set-up raises SolverFailure "not positive definite" on
+    either side of the fold, as the whole factor did.
+
     Returns the half's node ids, their mirror images' ids (their own on
-    x = 0), ``K_s = P^T K P`` and the half's base set: the half's own, plus
-    ``u_x = 0`` on x = 0, with the loads ``P^T f``.
+    x = 0), ``K_s`` and the half's base set: the half's own, plus ``u_x = 0``
+    on x = 0, with the loads ``P^T f``.
     """
     n = len(positions)
     mirror = _mirror_map(positions)
@@ -680,17 +697,34 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     src = np.empty(n, dtype=np.int64)
     src[ids] = np.arange(len(ids))
     src[~right] = src[mirror[~right]]
-    # P^T K P: a half row of K P, twice off the axis; on the axis P has no
-    # u_x column and its u_y column takes the row once
-    colfac = np.where(axis[:, None], [0.0, 1.0], np.where(right[:, None], 1.0, _FLIP))
-    rowfac = np.where(axis[ids, None], [0.0, 1.0], 2.0)
-    ks = sp.csr_matrix((hk.data * colfac.ravel()[hk.indices]
-                        * np.repeat(rowfac.ravel(), np.diff(hk.indptr)),
-                        (2 * src[:, None] + [0, 1]).ravel()[hk.indices], hk.indptr),
-                       shape=(2 * len(ids),) * 2)
-    ks.sum_duplicates()
-    base = BCSet(len(ids), mask[ids] | (axis[ids, None] & [True, False]),
-                 np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
+
+    def fold(flip):
+        # P^T K P (Q^T K Q for the flip -_FLIP): a half row of K P, twice off
+        # the axis; on the axis P has no column for the dof the flip negates,
+        # and the other dof's column takes the row once
+        keep = flip > 0
+        colfac = np.where(axis[:, None], keep, np.where(right[:, None], 1.0, flip))
+        rowfac = np.where(axis[ids, None], keep, 2.0)
+        kf = sp.csr_matrix((hk.data * colfac.ravel()[hk.indices]
+                            * np.repeat(rowfac.ravel(), np.diff(hk.indptr)),
+                            (2 * src[:, None] + [0, 1]).ravel()[hk.indices],
+                            hk.indptr.copy()), shape=(2 * len(ids),) * 2)
+        kf.sum_duplicates()  # in place, indptr too
+        return kf, mask[ids] | (axis[ids, None] & ~keep), rowfac
+
+    # the ramp never solves with K_a, so only its factor's pivots are read:
+    # a mechanism can round them to tiny positive values instead of failing
+    # the factor, which the estimate (min L_ii / max L_ii)^2 of CHOLMOD's
+    # rcond then puts below the machine epsilon
+    ka, held, _ = fold(-_FLIP)
+    pivots = np.concatenate([np.ones(0)] + [np.diag(l11) for _, _, _, l11, _ in
+                                            _factor_free(ka, held.ravel(), positions[ids])[2].fronts])
+    rcond = (pivots.min() / pivots.max()) ** 2 if len(pivots) else 1.0
+    if rcond < np.finfo(float).eps:
+        raise SolverFailure("the operator is not positive definite on fields antisymmetric "
+                            f"about x = 0: its factor's rcond estimate is {rcond:.3g}")
+    ks, held, rowfac = fold(_FLIP)
+    base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
                  loads[ids] * rowfac)
     return ids, mirror[ids], ks, base
 

@@ -506,11 +506,7 @@ class TestMultifrontalCholesky:
             RampSolver(k, base, nodes.positions)
 
     def test_singular_ramp_is_solver_failure(self):
-        # clamped, the block's zero modes slide its rows along x, which the
-        # ramp's mirror symmetry pins; on rollers its columns slide along y,
-        # a mirror-symmetric mode
         nodes, bonds, k, base, top = self._no_shear()
-        base.prescribed_mask[:, 1] = False
         with pytest.raises(SolverFailure, match="not positive definite"):
             pd_core.run_indentation(nodes.positions, k, base, top, 3.0,
                                     np.array([0.1, 0.2]), bonds=bonds)
@@ -765,6 +761,21 @@ class TestIndentationRamp:
         assert np.array_equal(res.indenter.stuck_ids, stuck)
         np.testing.assert_allclose(res.indenter.attach_offsets, offsets, rtol=0, atol=1e-12)
         assert np.array_equal(res.inverted_bonds, inverted)
+
+    @pytest.mark.parametrize("held", ["uy-at-bottom", "ux-at-sides"])
+    def test_mechanism_of_either_parity_is_solver_failure(self, held):
+        # held along y at the bottom only, the block slides along x, a field
+        # antisymmetric about x = 0 that the half ramp never solves for;
+        # held along x at the sides only, it slides along y, a symmetric one
+        nodes, bonds, k, _, top = self._setup()
+        x, y = nodes.positions.T
+        if held == "uy-at-bottom":
+            base = BCSet(nodes.n).prescribe(np.flatnonzero(y == y.min()), uy=0.0)
+        else:
+            base = BCSet(nodes.n).prescribe(np.flatnonzero(np.abs(x) == x.max()), ux=0.0)
+        with pytest.raises(SolverFailure, match="not positive definite"):
+            pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
+                                    np.array([0.1, 0.2]), bonds=bonds)
 
     def _asymmetric(self, what):
         nodes, bonds, k, base, top = self._setup()
