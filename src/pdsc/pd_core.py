@@ -749,7 +749,8 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     a stuck node on x = 0 holds only its ``u_y``, its ``u_x = 0`` being in
     the half's base set. The inversion scan, the reaction and the result see
     the whole field, and the stuck set holds both nodes of each mirror pair,
-    with mirrored offsets, attached per step in node id order.
+    with mirrored offsets, attached per step in node id order. A mechanism
+    on fields of either parity raises SolverFailure before the first step.
 
     The scan goes through an :class:`InversionScreen` built once per ramp: it
     hands :func:`check_bond_inversion` only the bonds whose cell pair's
