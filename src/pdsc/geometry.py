@@ -416,24 +416,49 @@ def truncated_length(x, e, domain: Domain, horizon: float) -> float:
                                    np.asarray(e, float)[None, :], domain, horizon)[0])
 
 
-# rows formatted per write: bounds the string buffers of million-row tables
+# rows joined per write: bounds the row text of million-row tables
 _CSV_BLOCK = 4096
 _FLOAT = "%.17g".__mod__
+
+
+def _column_cells(col: np.ndarray):
+    """Return ``rows -> list of cell texts`` for one column.
+
+    A numeric column is formatted by its distinct values, each once: a float
+    column keyed by its bit pattern, so ``0.0``/``-0.0`` and NaN payloads keep
+    their own text. Other columns print with ``str`` per cell.
+    """
+    kind = col.dtype.kind
+    if kind not in "fiu":
+        return lambda rows: list(map(str, col[rows].tolist()))
+    key = col.view(f"i{col.dtype.itemsize}") if kind == "f" else col
+    distinct, index = np.unique(key, return_inverse=True)
+    fmt = _FLOAT if kind == "f" else str
+    texts = np.array(list(map(fmt, distinct.view(col.dtype).tolist())), dtype=object)
+    return lambda rows: texts[index[rows]].tolist()
 
 
 def write_csv(path, header, columns) -> None:
     """Write equal-length array columns under a header row.
 
     Floating columns print with ``%.17g``, which round-trips every float64;
-    integer and string columns print as they are. Rows are formatted and
-    written in blocks of ``_CSV_BLOCK``.
+    integer, bool and string columns print with ``str``. Each distinct value
+    of a numeric column is formatted once; the text is the same as formatting
+    every cell. Rows are joined and written in blocks of ``_CSV_BLOCK``.
+    Raises ``ValueError``, before the file is opened, when the column count
+    differs from the header's or the columns differ in length.
     """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns under a {len(header)}-name header")
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {lengths}")
+    cells = [_column_cells(c) for c in columns]
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            blocks = [c[start:start + _CSV_BLOCK] for c in columns]
-            cells = [map(_FLOAT if b.dtype.kind == "f" else str, b.tolist()) for b in blocks]
-            f.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+        for start in range(0, lengths[0] if lengths else 0, _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            f.write("".join(",".join(row) + "\n" for row in zip(*(c(rows) for c in cells))))
 
 
 def write_nodes_csv(path, nodes: NodeSet) -> None:

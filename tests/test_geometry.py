@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdsc import geometry as geo
+from pdsc import geometry as geo, material as mat
 from pdsc.geometry import Domain, GridSpec, GeometryError
+from pdsc.material import ElasticParams, MaterialModel
 
 
 def lattice_disk_count(m_inv: int) -> int:
@@ -271,3 +272,90 @@ def test_write_csv_formats_like_per_value_repr(tmp_path):
     geo.write_csv(tmp_path / "t.csv", ("i", "v", "s"), (ids, values, labels))
     want = ["i,v,s"] + [f"{k},{v:.17g},{s}" for k, v, s in zip(ids, values, labels)]
     assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+
+def per_cell_csv(header, columns) -> str:
+    """Reference CSV text: every cell formatted on its own."""
+    texts = [[("%.17g" % v) if c.dtype.kind == "f" else str(v) for v in c.tolist()]
+             for c in columns]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*texts)])
+
+
+def nan_with_bits(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def test_write_csv_is_per_cell_text_across_blocks(tmp_path):
+    # values repeat across block boundaries and keep distinct bit patterns apart
+    floats = np.array([0.0, -0.0, np.nan, nan_with_bits(0xFFF8000000000000),
+                       nan_with_bits(0x7FF8000000000001), np.inf, -np.inf,
+                       5e-324, 2.2250738585072009e-308, 1 / 3, -0.1, 1e300])
+    assert np.signbit(floats[3]) and np.isnan(floats[3])
+    singles = np.array([0.0, -0.0, 1e-45, 1 / 3, -2.5, np.inf, np.nan], dtype=np.float32)
+    ints = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 7])
+    n = 3 * geo._CSV_BLOCK + 123
+    rows = np.arange(n)
+    columns = (rows, floats[rows % len(floats)], singles[(rows * 5) % len(singles)],
+               ints[(rows * 3) % len(ints)], rows % 3 == 0,
+               np.array(["left", "right", "x,y"])[rows % 3])
+    header = ("id", "f64", "f32", "i64", "flag", "label")
+    geo.write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_text() == per_cell_csv(header, columns)
+
+
+POOL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1 / 3, 1.0, -1e-300]
+
+
+@given(st.lists(st.sampled_from(POOL), max_size=40),
+       st.lists(st.integers(-3, 3), min_size=40, max_size=40),
+       st.integers(1, 7))
+@settings(max_examples=50, deadline=None)
+def test_write_csv_matches_per_cell_text(tmp_path_factory, values, ints, block):
+    values = np.array(values)
+    columns = (values, values.astype(np.float32), np.array(ints[:len(values)]),
+               values > 0)
+    header = ("f64", "f32", "int", "flag")
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    old, geo._CSV_BLOCK = geo._CSV_BLOCK, block
+    try:
+        geo.write_csv(path, header, columns)
+    finally:
+        geo._CSV_BLOCK = old
+    assert path.read_text() == per_cell_csv(header, columns)
+
+
+@pytest.mark.parametrize("header, columns", [
+    (("id", "v"), (np.arange(5), np.ones(3))),
+    (("a", "b", "c"), (np.arange(2), np.ones(2), np.zeros(2), np.ones(2))),
+], ids=["unequal-lengths", "more-columns-than-header"])
+def test_write_csv_refuses_a_ragged_table(tmp_path, header, columns):
+    with pytest.raises(ValueError):
+        geo.write_csv(tmp_path / "t.csv", header, columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("corrected", [False, True], ids=["plain", "corrected"])
+def test_bonds_csv_reads_back_bit_for_bit(tmp_path, corrected):
+    dom = Domain.rectangle(6, 4)
+    nodes = geo.build_grid(dom, GridSpec.covering(dom, 0.5))
+    bonds = geo.build_bonds(nodes, 1.5)
+    corr = None
+    if corrected:
+        m = MaterialModel.calibrated(ElasticParams(1000.0), 1.5, "constant", "discrete", 0.5)
+        corr = mat.correct_bonds(bonds, nodes, dom, m, "all")
+    geo.write_bonds_csv(tmp_path / "bonds.csv", bonds, corr)
+    header, *lines = (tmp_path / "bonds.csv").read_text().splitlines()
+    cells = list(zip(*(line.split(",") for line in lines)))
+    want = {"i": bonds.i, "j": bonds.j, "xi_x": bonds.xi[:, 0], "xi_y": bonds.xi[:, 1],
+            "len": bonds.length, "c_ij": np.zeros(bonds.m)}
+    if corrected:
+        want.update(c_ij=corr.coeff, phi_i=corr.phi_i, phi_j=corr.phi_j)
+    assert header.split(",") == list(want) and len(lines) == bonds.m
+    for name, column in zip(want, cells):
+        if name in ("i", "j"):
+            assert [int(v) for v in column] == want[name].tolist()
+        else:
+            got = np.array([float(v) for v in column])
+            assert got.view(np.int64).tolist() == want[name].view(np.int64).tolist(), name
+    if corrected:
+        assert len(np.unique(corr.coeff)) > 1
