@@ -1,5 +1,7 @@
 """Grid building, neighbor search and ray-boundary queries."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,11 +318,8 @@ def test_write_csv_matches_per_cell_text(tmp_path_factory, values, ints, block):
                values > 0)
     header = ("f64", "f32", "int", "flag")
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    old, geo._CSV_BLOCK = geo._CSV_BLOCK, block
-    try:
+    with mock.patch.object(geo, "_CSV_BLOCK", block):
         geo.write_csv(path, header, columns)
-    finally:
-        geo._CSV_BLOCK = old
     assert path.read_text() == per_cell_csv(header, columns)
 
 
