@@ -90,6 +90,8 @@ class ExperimentConfig:
         bad = [v for v in self.variants if v not in VARIANTS[self.experiment]]
         if bad:
             raise ConfigError(f"variant(s) {bad} invalid for {self.experiment}")
+        if VARIANTS[self.experiment] and not self.variants:
+            raise ConfigError(f"{self.experiment} needs at least one variant")
         repeated = sorted({v for v in self.variants if self.variants.count(v) > 1})
         if repeated:
             raise ConfigError(f"variant(s) {repeated} given more than once")
@@ -613,8 +615,7 @@ def run_calibrate(run: Run) -> None:
         for mode in ("continuum", "discrete"):
             c0 = material.calibrate_bulk(elastic, kind, cfg.horizon, mode, cfg.spacing)
             metrics[f"c0.{kind}.{mode}"] = c0
-            mat = MaterialModel(elastic, cfg.horizon,
-                                material.MicromodulusProfile(kind), c0, mode)
+            mat = MaterialModel(elastic, cfg.horizon, material.MicromodulusProfile(kind), c0)
             lattice = material.discrete_hooke(mat, cfg.spacing)
             metrics[f"residual_uniaxial.{kind}.{mode}"] = abs(
                 lattice.xxxx / target.xxxx - 1.0)

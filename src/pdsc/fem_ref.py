@@ -44,7 +44,6 @@ class FEMesh:
     nodes: np.ndarray
     elements: np.ndarray
     spacing: float
-    counts: tuple[int, int]
 
     @classmethod
     def from_grid(cls, domain: Domain, spec: GridSpec) -> "FEMesh":
@@ -57,7 +56,7 @@ class FEMesh:
             for ix in range(nx - 1):
                 n0 = iy * nx + ix
                 quads.append([n0, n0 + 1, n0 + nx + 1, n0 + nx])
-        return cls(pts, np.array(quads, dtype=np.int64), spec.spacing, (nx, ny))
+        return cls(pts, np.array(quads, dtype=np.int64), spec.spacing)
 
 
 _GAUSS = np.array([-1.0, 1.0]) / np.sqrt(3.0)

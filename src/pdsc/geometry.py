@@ -75,13 +75,6 @@ class Domain:
         ])
         return cls(verts, thickness)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.vertices)
-
-    def edge_starts(self) -> np.ndarray:
-        return self.vertices
-
     def edge_vectors(self) -> np.ndarray:
         return np.roll(self.vertices, -1, axis=0) - self.vertices
 
@@ -99,7 +92,7 @@ class Domain:
         pts = np.asarray(points, dtype=float)
         if tol is None:
             tol = 1e-12 * self.diameter()
-        v = self.edge_starts()
+        v = self.vertices
         e = self.edge_vectors()
         rel = pts[..., None, :] - v  # (..., V, 2)
         side = _cross2(e, rel)
@@ -108,7 +101,7 @@ class Domain:
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Unsigned distance from each point to the polygon boundary."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        v = self.edge_starts()
+        v = self.vertices
         e = self.edge_vectors()
         ee = (e**2).sum(1)
         rel = pts[:, None, :] - v[None, :, :]
@@ -185,11 +178,13 @@ class GridSpec:
 
 @dataclass
 class NodeSet:
-    """Meshfree discretization: positions, fixed volumes and role flags."""
+    """Meshfree discretization: positions, fixed volumes and role flags.
+
+    Distances to the body surface come from ``Domain.boundary_distance``.
+    """
 
     positions: np.ndarray        # (N, 2)
     volumes: np.ndarray          # (N,)
-    boundary_distance: np.ndarray  # (N,) distance to the body surface
     roles: np.ndarray            # (N,) uint8, ROLE_* constants
     spacing: float
 
@@ -208,7 +203,7 @@ class NodeSet:
     def on_side(self, domain: Domain, side: str) -> np.ndarray:
         """Ids of real nodes on the given axis-aligned edge, to 1e-7 spacings."""
         edge = domain.side_edge_indices([side])[0]
-        v = domain.edge_starts()[edge]
+        v = domain.vertices[edge]
         e = domain.edge_vectors()[edge]
         rel = self.positions - v
         dist = np.abs(_cross2(np.broadcast_to(e, rel.shape), rel)) / np.linalg.norm(e)
@@ -226,11 +221,7 @@ def _clip_cell_area(center: np.ndarray, spacing: float, domain: Domain) -> float
         (center[0] + h, center[1] + h),
         (center[0] - h, center[1] + h),
     ]
-    starts = domain.edge_starts()
-    vecs = domain.edge_vectors()
-    for k in range(domain.n_edges):
-        vx, vy = starts[k]
-        ex, ey = vecs[k]
+    for (vx, vy), (ex, ey) in zip(domain.vertices, domain.edge_vectors()):
         inside = [ex * (py - vy) - ey * (px - vx) >= 0.0 for px, py in poly]
         clipped = []
         for a in range(len(poly)):
@@ -276,7 +267,7 @@ def build_grid(domain: Domain, spec: GridSpec) -> NodeSet:
     near = bd < spec.spacing / np.sqrt(2.0)  # only these cells can be cut
     for idx in np.where(near)[0]:
         vol[idx] = _clip_cell_area(pts[idx], spec.spacing, domain) * domain.thickness
-    return NodeSet(pts, vol, bd, roles, spec.spacing)
+    return NodeSet(pts, vol, roles, spec.spacing)
 
 
 def add_virtual_layers(nodes: NodeSet, domain: Domain, side: str, layers: int) -> NodeSet:
@@ -307,13 +298,11 @@ def add_virtual_layers(nodes: NodeSet, domain: Domain, side: str, layers: int) -
         block[:, other] = cols
         new_pts.append(block)
     new_pts = np.vstack(new_pts)
-    bd = domain.boundary_distance(new_pts)
     vol = np.full(len(new_pts), nodes.spacing**2 * domain.thickness)
     roles = np.full(len(new_pts), ROLE_VIRTUAL, dtype=np.uint8)
     return NodeSet(
         np.vstack([nodes.positions, new_pts]),
         np.concatenate([nodes.volumes, vol]),
-        np.concatenate([nodes.boundary_distance, bd]),
         np.concatenate([nodes.roles, roles]),
         nodes.spacing,
     )
@@ -329,7 +318,6 @@ class BondTable:
     length: np.ndarray    # (M,)
     unit: np.ndarray      # (M, 2)
     horizon: float
-    m_ratio: float        # spacing / horizon
 
     @property
     def m(self) -> int:
@@ -358,7 +346,7 @@ def build_bonds(nodes: NodeSet, horizon: float) -> BondTable:
     keep = length <= horizon * (1 + 1e-12)
     i, j, xi, length = i[keep], j[keep], xi[keep], length[keep]
     unit = xi / length[:, None]
-    return BondTable(i, j, xi, length, unit, horizon, nodes.spacing / horizon)
+    return BondTable(i, j, xi, length, unit, horizon)
 
 
 def rays_boundary_distance(origins: np.ndarray, directions: np.ndarray,
@@ -380,10 +368,10 @@ def rays_boundary_distance(origins: np.ndarray, directions: np.ndarray,
         min_dist = 1e-9 * domain.diameter()
     if not np.all(domain.contains(origins)):
         raise GeometryError("ray origin lies outside the domain")
-    starts = domain.edge_starts()
+    starts = domain.vertices
     vecs = domain.edge_vectors()
     if edge_indices is None:
-        edge_indices = np.arange(domain.n_edges)
+        edge_indices = np.arange(len(starts))
     best = np.full(len(origins), np.inf)
     for k in np.asarray(edge_indices, dtype=int):
         v, e = starts[k], vecs[k]
@@ -467,15 +455,11 @@ def write_nodes_csv(path, nodes: NodeSet) -> None:
                nodes.volumes, np.array(ROLE_NAMES)[nodes.roles]))
 
 
-def write_bonds_csv(path, bonds: BondTable, correction=None) -> None:
+def write_bonds_csv(path, bonds: BondTable, correction) -> None:
     """Bond table dump with the per-bond coefficient and endpoint factors.
 
-    Without a correction field ``c_ij`` reads 0 and ``phi_i,phi_j`` are left out.
+    An uncorrected bond model passes its correction field, with ``phi = 1``.
     """
-    header = ["i", "j", "xi_x", "xi_y", "len", "c_ij"]
-    columns = [bonds.i, bonds.j, bonds.xi[:, 0], bonds.xi[:, 1], bonds.length,
-               np.zeros(bonds.m) if correction is None else correction.coeff]
-    if correction is not None:
-        header += ["phi_i", "phi_j"]
-        columns += [correction.phi_i, correction.phi_j]
-    write_csv(path, header, columns)
+    write_csv(path, ("i", "j", "xi_x", "xi_y", "len", "c_ij", "phi_i", "phi_j"),
+              (bonds.i, bonds.j, bonds.xi[:, 0], bonds.xi[:, 1], bonds.length,
+               correction.coeff, correction.phi_i, correction.phi_j))

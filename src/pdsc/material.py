@@ -119,7 +119,6 @@ class MaterialModel:
     horizon: float
     profile: MicromodulusProfile
     bulk_amplitude: float          # c0
-    calibration: str               # "continuum" or "discrete"
 
     @classmethod
     def calibrated(cls, elastic: ElasticParams, horizon: float,
@@ -127,7 +126,7 @@ class MaterialModel:
                    spacing: float | None = None) -> "MaterialModel":
         profile = MicromodulusProfile(profile_kind)
         c0 = calibrate_bulk(elastic, profile_kind, horizon, mode, spacing)
-        return cls(elastic, horizon, profile, c0, mode)
+        return cls(elastic, horizon, profile, c0)
 
     def bond_amplitude(self, length) -> np.ndarray:
         """c_b(xi) for the bulk material."""

@@ -12,7 +12,7 @@ before constraints. Degrees of freedom are interleaved: dof = 2*node + axis.
 from __future__ import annotations
 
 import resource
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,6 +227,8 @@ class MultifrontalCholesky:
     fight it.
     A factor that would not fit in :func:`_available_memory`, a front that is
     not positive definite and a ``MemoryError`` raise :class:`SolverFailure`.
+    So does a mechanism whose pivots round to tiny positive values: CHOLMOD's
+    rcond estimate ``(min L_ii / max L_ii)^2`` below the machine epsilon.
     ``L.nnz`` (``U = L^T``) counts stored entries, zeros in the fronts too.
     """
 
@@ -290,6 +292,11 @@ class MultifrontalCholesky:
                 self.fronts.append((s, e, bnd, l11, w))
         except MemoryError as exc:
             raise SolverFailure(f"out of memory factoring {a.shape[0]} unknowns") from exc
+        pivots = np.concatenate([np.diag(f[3]) for f in self.fronts] or [[1.0]])
+        rcond = (pivots.min() / pivots.max()) ** 2
+        if rcond < np.finfo(float).eps:
+            raise SolverFailure(f"the matrix is not positive definite: its factor's rcond "
+                                f"estimate is {rcond:.3g}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``A^{-1} b`` for one column ``(n,)`` or many ``(n, k)``.
@@ -447,7 +454,7 @@ class InversionScreen:
         """``check_bond_inversion(bonds, u)``, scanning only the candidates."""
         ids, b = self.candidates(u), self.bonds
         sub = BondTable(b.i[ids], b.j[ids], b.xi[ids], b.length[ids], b.unit[ids],
-                        b.horizon, b.m_ratio)
+                        b.horizon)
         return ids[check_bond_inversion(sub, u)]
 
 
@@ -583,29 +590,17 @@ class RampSolver:
 
 
 @dataclass
-class IndenterState:
-    """Rigid circular indenter above x = 0 with a no-slip (stick) contact set."""
-
-    radius: float
-    top_y: float
-    depth: float = 0.0
-    stuck_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    attach_offsets: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([0.0, self.top_y + self.radius - self.depth])
-
-
-@dataclass
 class IndentationResult:
+    """A ramp's converged steps; the punch centre is ``(0, top + radius - depth)``."""
+
     depths: np.ndarray               # converged depths (mm)
     forces: np.ndarray               # indenter force per converged depth (N)
     failed: bool
     failure_depth: float | None
     inverted_bonds: np.ndarray
     u_final: np.ndarray              # last converged displacement field
-    indenter: IndenterState
+    stuck_ids: np.ndarray            # stuck nodes of the whole lattice, attach order
+    attach_offsets: np.ndarray       # their offsets from the punch centre (mm)
     stuck_counts: np.ndarray
     iterations: list
 
@@ -652,8 +647,9 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     ``K_s = P^T K P`` and its antisymmetric fold ``K_a = Q^T K Q`` are, ``Q``
     keeping ``u_y`` odd and ``u_x`` even. The ramp never meets a field of
     ``Q``, but ``K_a`` is factored once here, and dropped, so that a
-    mechanism of the set-up raises SolverFailure "not positive definite" on
-    either side of the fold, as the whole factor did.
+    mechanism of the set-up raises the factor's SolverFailure "not positive
+    definite" on either side of the fold, as the whole factor did; on this
+    side the message names the antisymmetric fields.
 
     Returns the half's node ids, their mirror images' ids (their own on
     x = 0), ``K_s`` and the half's base set: the half's own, plus ``u_x = 0``
@@ -712,17 +708,13 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
         kf.sum_duplicates()  # in place, indptr too
         return kf, mask[ids] | (axis[ids, None] & ~keep), rowfac
 
-    # the ramp never solves with K_a, so only its factor's pivots are read:
-    # a mechanism can round them to tiny positive values instead of failing
-    # the factor, which the estimate (min L_ii / max L_ii)^2 of CHOLMOD's
-    # rcond then puts below the machine epsilon
     ka, held, _ = fold(-_FLIP)
-    pivots = np.concatenate([np.ones(0)] + [np.diag(l11) for _, _, _, l11, _ in
-                                            _factor_free(ka, held.ravel(), positions[ids])[2].fronts])
-    rcond = (pivots.min() / pivots.max()) ** 2 if len(pivots) else 1.0
-    if rcond < np.finfo(float).eps:
-        raise SolverFailure("the operator is not positive definite on fields antisymmetric "
-                            f"about x = 0: its factor's rcond estimate is {rcond:.3g}")
+    try:
+        _factor_free(ka, held.ravel(), positions[ids])
+    except SolverFailure as exc:
+        if "not positive definite" not in str(exc):  # out of memory: passed on as is
+            raise
+        raise SolverFailure(f"on fields antisymmetric about x = 0, {exc}") from exc
     ks, held, rowfac = fold(_FLIP)
     base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
                  loads[ids] * rowfac)
@@ -748,9 +740,10 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     the half x >= 0 (see :func:`_mirror_half`), contact detection included;
     a stuck node on x = 0 holds only its ``u_y``, its ``u_x = 0`` being in
     the half's base set. The inversion scan, the reaction and the result see
-    the whole field, and the stuck set holds both nodes of each mirror pair,
-    with mirrored offsets, attached per step in node id order. A mechanism
-    on fields of either parity raises SolverFailure before the first step.
+    the whole field; the result's ``stuck_ids`` hold both nodes of each
+    mirror pair, with mirrored ``attach_offsets``, attached per step in node
+    id order. A mechanism on fields of either parity raises SolverFailure
+    before the first step, from the factor of its fold.
 
     The scan goes through an :class:`InversionScreen` built once per ramp: it
     hands :func:`check_bond_inversion` only the bonds whose cell pair's
@@ -758,7 +751,6 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     """
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
-    state = IndenterState(radius=radius, top_y=top_y)
     ids, image, ks, base = _mirror_half(positions, k, base_bcs, surface_ids)
     half, pair = positions[ids], image != ids
     solver = RampSolver(ks, base, half, tol=tol)
@@ -767,13 +759,13 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     u, v = np.zeros_like(positions), np.zeros_like(half)
     stuck, offsets = np.empty(0, dtype=int), np.empty((0, 2))  # on the half
     held = np.empty((0, 2), dtype=bool)  # their constrained dofs
+    stuck_ids, attach_offsets = np.empty(0, dtype=int), np.empty((0, 2))  # whole block
     out_depths, out_forces, out_stuck, iters = [], [], [], []
     failed = False
     failure_depth = None
     inverted = np.empty(0, dtype=int)
     for depth in np.asarray(depths, dtype=float):
-        state.depth = float(depth)
-        center = state.center
+        center = np.array([0.0, top_y + radius - float(depth)])
         # detect new contacts from the previously converged configuration
         candidates = np.setdiff1d(surface, stuck)
         dist = np.linalg.norm(half[candidates] + v[candidates] - center, axis=1)
@@ -790,8 +782,8 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
             solver.add_constraints(np.stack([2 * newly, 2 * newly + 1], axis=1)[new_held])
             full = np.concatenate([ids[newly], image[newly[mirrored]]])
             order = np.argsort(full)
-            state.stuck_ids = np.concatenate([state.stuck_ids, full[order]])
-            state.attach_offsets = np.vstack([state.attach_offsets, np.vstack(
+            stuck_ids = np.concatenate([stuck_ids, full[order]])
+            attach_offsets = np.vstack([attach_offsets, np.vstack(
                 [new_offsets, new_offsets[mirrored] * _FLIP])[order]])
         target = center[None, :] + offsets - half[stuck]
         try:
@@ -808,17 +800,17 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
                 failure_depth = float(depth)
                 break
         u, v = u_new, v_new
-        if len(state.stuck_ids) > 0:
+        if len(stuck_ids) > 0:
             # prescribing the stuck nodes leaves the loads the reaction subtracts
-            force = reaction_force(k, u, base_bcs, state.stuck_ids)[1]
+            force = reaction_force(k, u, base_bcs, stuck_ids)[1]
         else:
             force = 0.0
         out_depths.append(float(depth))
         out_forces.append(abs(float(force)))
-        out_stuck.append(len(state.stuck_ids))
+        out_stuck.append(len(stuck_ids))
         iters.append(diag.iterations)
     return IndentationResult(
         depths=np.array(out_depths), forces=np.array(out_forces),
         failed=failed, failure_depth=failure_depth, inverted_bonds=inverted,
-        u_final=u, indenter=state, stuck_counts=np.array(out_stuck, dtype=int),
-        iterations=iters)
+        u_final=u, stuck_ids=stuck_ids, attach_offsets=attach_offsets,
+        stuck_counts=np.array(out_stuck, dtype=int), iterations=iters)

@@ -104,11 +104,17 @@ def test_benchmark_tracer_counts_and_restores(tmp_path):
             default_config("indent"), size_x=16.0, size_y=16.0, spacing=0.5,
             horizon=1.5, indenter_radius=6.0, depth_max=1.0, depth_steps=8,
             variants=("corrected",), out=str(tmp_path / "i")))
+        # every clamped variant: the FEM reference and the virtual-node buffers too
+        bench_cli.RUNNERS["clamped"](dataclasses.replace(
+            default_config("clamped"), size_x=2.0, size_y=2.0, spacing=0.25,
+            horizon=0.75, out=str(tmp_path / "c")))
     finally:
         layers.restore(saved)
     counts = tracer.counts[tracer.request]
     for name in ("pd_core.solve_static_calls", "pd_core.pcg_iters",
-                 "pd_core.ramp_steps", "pd_core.lu_fill_nnz"):
+                 "pd_core.ramp_steps", "pd_core.lu_fill_nnz", "geometry.bonds",
+                 "geometry.rays", "pd_core.k_nnz", "geometry.write_csv_mb",
+                 "bench_cli.write_csv_mb"):
         assert counts[name] > 0, name
     assert saved and all(vars(owner)[attr] is raw for owner, attr, raw in saved)
 
@@ -230,6 +236,10 @@ class TestMainExitCodes:
         ("tension", "horizon = inf\n"),
         ("indent", "depth_max = nan\n"),
         ("clamped", "variants = fem,fem\n"),
+        # nothing to solve
+        ("tension", "variants =\n"),
+        ("clamped", "variants =\n"),
+        ("indent", "variants =\n"),
         # a relative residual of 0 is out of reach, and one of 1 or more is
         # met before any solve
         ("tension", "size_x = 10\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\ntol = 0\n"),
@@ -242,7 +252,8 @@ class TestMainExitCodes:
             "clamped-empty-edge", "indent-empty-edge", "indent-zero-radius",
             "indent-zero-depth", "indent-depth-over-radius", "indent-depth-at-radius",
             "indent-chord-over-block", "indent-off-centre", "nan-spacing", "inf-horizon", "nan-depth",
-            "repeated-variant", "zero-tol", "negative-tol", "unit-tol"])
+            "repeated-variant", "tension-no-variant", "clamped-no-variant",
+            "indent-no-variant", "zero-tol", "negative-tol", "unit-tol"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
         p.write_text(text)

@@ -19,7 +19,6 @@ def make_mesh(size_x, size_y, spacing):
 
 def solve_with_boundary_field(mesh, k, field):
     """Prescribe the analytic field on the mesh boundary, solve the interior."""
-    nx, ny = mesh.counts
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
     tol = 1e-9 * mesh.spacing

@@ -39,7 +39,7 @@ def bisect_exit_distance(x, e, domain, hi=1e3, iters=200):
 class TestDomain:
     def test_rectangle_properties(self):
         dom = Domain.rectangle(50, 100)
-        assert dom.n_edges == 4
+        assert len(dom.vertices) == 4
         assert dom.contains(np.array([[0, 0], [25, 50], [25.1, 0]])).tolist() == \
             [True, True, False]
         assert dom.boundary_distance(np.array([[0.0, 0.0]]))[0] == pytest.approx(25.0)
@@ -138,10 +138,10 @@ class TestVirtualLayers:
 class TestBuildBonds:
     def test_closed_ball_inclusion(self):
         pos = np.array([[0.0, 0.0], [5.0, 0.0]])
-        ns = geo.NodeSet(pos, np.ones(2), np.ones(2), np.zeros(2, np.uint8), 5.0)
+        ns = geo.NodeSet(pos, np.ones(2), np.zeros(2, np.uint8), 5.0)
         assert geo.build_bonds(ns, 5.0).m == 1
         pos2 = np.array([[0.0, 0.0], [5.005, 0.0]])
-        ns2 = geo.NodeSet(pos2, np.ones(2), np.ones(2), np.zeros(2, np.uint8), 5.0)
+        ns2 = geo.NodeSet(pos2, np.ones(2), np.zeros(2, np.uint8), 5.0)
         assert geo.build_bonds(ns2, 5.0).m == 0
 
     def test_interior_neighbor_count_m6(self):
@@ -153,12 +153,6 @@ class TestBuildBonds:
         counts = np.bincount(np.concatenate([bonds.i, bonds.j]), minlength=nodes.n)
         center = np.argmin(np.linalg.norm(nodes.positions, axis=1))
         assert counts[center] == 112
-
-    def test_m_ratio_recorded(self):
-        dom = Domain.rectangle(4, 4)
-        nodes = geo.build_grid(dom, GridSpec.covering(dom, 1 / 6))
-        bonds = geo.build_bonds(nodes, 1.0)
-        assert bonds.m_ratio == pytest.approx(1 / 6)
 
     @pytest.mark.parametrize("nx,ny", [(7, 5), (12, 9)])
     def test_matches_brute_force(self, nx, ny):
@@ -256,8 +250,10 @@ def test_csv_dumps(tmp_path):
     dom = Domain.rectangle(4, 4)
     nodes = geo.build_grid(dom, GridSpec.covering(dom, 1.0))
     bonds = geo.build_bonds(nodes, 1.5)
+    m = MaterialModel.calibrated(ElasticParams(1000.0), 1.5, "constant", "discrete", 1.0)
     geo.write_nodes_csv(tmp_path / "nodes.csv", nodes)
-    geo.write_bonds_csv(tmp_path / "bonds.csv", bonds)
+    geo.write_bonds_csv(tmp_path / "bonds.csv", bonds,
+                        mat.correct_bonds(bonds, nodes, dom, m, None))
     header = (tmp_path / "nodes.csv").read_text().splitlines()[0]
     assert header == "id,x,y,volume,role"
     lines = (tmp_path / "bonds.csv").read_text().splitlines()
@@ -338,17 +334,15 @@ def test_bonds_csv_reads_back_bit_for_bit(tmp_path, corrected):
     dom = Domain.rectangle(6, 4)
     nodes = geo.build_grid(dom, GridSpec.covering(dom, 0.5))
     bonds = geo.build_bonds(nodes, 1.5)
-    corr = None
-    if corrected:
-        m = MaterialModel.calibrated(ElasticParams(1000.0), 1.5, "constant", "discrete", 0.5)
-        corr = mat.correct_bonds(bonds, nodes, dom, m, "all")
+    m = MaterialModel.calibrated(ElasticParams(1000.0), 1.5, "constant", "discrete", 0.5)
+    # the uncorrected model's field: phi = 1 at both ends
+    corr = mat.correct_bonds(bonds, nodes, dom, m, "all" if corrected else None)
     geo.write_bonds_csv(tmp_path / "bonds.csv", bonds, corr)
     header, *lines = (tmp_path / "bonds.csv").read_text().splitlines()
     cells = list(zip(*(line.split(",") for line in lines)))
     want = {"i": bonds.i, "j": bonds.j, "xi_x": bonds.xi[:, 0], "xi_y": bonds.xi[:, 1],
-            "len": bonds.length, "c_ij": np.zeros(bonds.m)}
-    if corrected:
-        want.update(c_ij=corr.coeff, phi_i=corr.phi_i, phi_j=corr.phi_j)
+            "len": bonds.length, "c_ij": corr.coeff, "phi_i": corr.phi_i,
+            "phi_j": corr.phi_j}
     assert header.split(",") == list(want) and len(lines) == bonds.m
     for name, column in zip(want, cells):
         if name in ("i", "j"):

@@ -160,8 +160,8 @@ class TestCorrectBonds:
 
     def test_bulk_bond_unscaled(self):
         nodes, bonds, m, corr = self._setup("all")
-        deep = (nodes.boundary_distance[bonds.i] >= 6.0) & \
-               (nodes.boundary_distance[bonds.j] >= 6.0)
+        depth = Domain.rectangle(60, 60).boundary_distance(nodes.positions)
+        deep = (depth[bonds.i] >= 6.0) & (depth[bonds.j] >= 6.0)
         assert deep.any()
         assert np.allclose(corr.coeff[deep], m.bulk_amplitude)
         assert np.all(corr.coeff >= m.bulk_amplitude * (1 - 1e-12))
@@ -215,7 +215,7 @@ class TestCorrectBonds:
         # the averaged coefficient is independent of which end is stored first
         nodes, bonds, m, corr = self._setup("all")
         flipped = geo.BondTable(bonds.j, bonds.i, -bonds.xi, bonds.length,
-                                -bonds.unit, bonds.horizon, bonds.m_ratio)
+                                -bonds.unit, bonds.horizon)
         corr2 = mat.correct_bonds(flipped, nodes, dom := Domain.rectangle(60, 60),
                                   m, "all")
         assert np.allclose(corr.coeff, corr2.coeff, rtol=1e-12)
