@@ -98,17 +98,24 @@ class Domain:
         side = _cross2(e, rel)
         return np.all(side >= -tol, axis=-1)
 
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        """Unsigned distance from each point to the polygon boundary."""
+    def boundary_distance(self, points: np.ndarray,
+                          edge_indices: np.ndarray | None = None) -> np.ndarray:
+        """Unsigned distance from each point to the polygon boundary.
+
+        Only the edges in ``edge_indices`` count (all by default); a point's
+        distance to no edge at all is +inf.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.vertices
         e = self.edge_vectors()
+        if edge_indices is not None:
+            v, e = v[edge_indices], e[edge_indices]
         ee = (e**2).sum(1)
         rel = pts[:, None, :] - v[None, :, :]
         t = np.clip((rel * e[None, :, :]).sum(-1) / ee[None, :], 0.0, 1.0)
         foot = v[None, :, :] + t[..., None] * e[None, :, :]
         d = np.linalg.norm(pts[:, None, :] - foot, axis=-1)
-        return d.min(axis=1)
+        return d.min(axis=1, initial=np.inf)
 
     def side_edge_indices(self, sides) -> np.ndarray:
         """Edge indices whose outward normal matches the named sides.
@@ -325,11 +332,12 @@ class BondTable:
 
 
 def build_bonds(nodes: NodeSet, horizon: float) -> BondTable:
-    """All unordered pairs with 0 < |x_j - x_i| <= horizon.
+    """All unordered pairs with 0 < |x_j - x_i| <= horizon, sorted by (i, j).
 
     Uses a k-d tree so the cost is proportional to nodes times neighbors.
     Pairs at exactly the horizon are kept (closed-ball convention); the query
-    radius carries a 1e-12 relative slack to keep that inclusion robust.
+    radius carries a 1e-12 relative slack to keep that inclusion robust. The
+    pairs are unique, so one sort of the key ``i * N + j`` orders them.
     """
     if horizon <= 0:
         raise GeometryError("horizon must be positive")
@@ -337,14 +345,14 @@ def build_bonds(nodes: NodeSet, horizon: float) -> BondTable:
     pairs = tree.query_pairs(horizon * (1 + 1e-12), output_type="ndarray")
     if len(pairs) == 0:
         pairs = np.empty((0, 2), dtype=np.intp)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
+    pairs = pairs[np.argsort(pairs[:, 0].astype(np.int64) * nodes.n + pairs[:, 1])]
     i = pairs[:, 0].astype(np.int32)
     j = pairs[:, 1].astype(np.int32)
     xi = nodes.positions[j] - nodes.positions[i]
     length = np.linalg.norm(xi, axis=1)
     keep = length <= horizon * (1 + 1e-12)
-    i, j, xi, length = i[keep], j[keep], xi[keep], length[keep]
+    if not keep.all():
+        i, j, xi, length = i[keep], j[keep], xi[keep], length[keep]
     unit = xi / length[:, None]
     return BondTable(i, j, xi, length, unit, horizon)
 

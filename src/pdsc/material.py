@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, BondTable, NodeSet, truncated_lengths
+from .geometry import Domain, BondTable, GeometryError, NodeSet, truncated_lengths
 
 # Poisson's ratio of a plane-stress central-force material
 POISSON = 1.0 / 3.0
@@ -248,15 +248,31 @@ def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
     Surfaces covered by virtual-node buffers should be excluded by the
     caller; bonds ending on a virtual node always use phi == 1 on the
     virtual side.
+
+    Every real bond end must lie inside or on the domain (GeometryError
+    otherwise), but rays are cast only from the ends within the horizon, plus
+    a rounding slack, of an active edge. In a convex body a ray meets an edge
+    no nearer than the edge segment itself, so every other end's rays would
+    reach the horizon and give phi == 1, which it keeps.
     """
     bulk = material.bond_amplitude(bonds.length)
     phi_i = np.ones(bonds.m)
     phi_j = np.ones(bonds.m)
     if surfaces is not None and bonds.m > 0:
         edge_indices = None if surfaces == "all" else domain.side_edge_indices(surfaces)
-        virt = nodes.virtual_mask
+        real_end = np.zeros(nodes.n, dtype=bool)
+        real_end[bonds.i] = real_end[bonds.j] = True
+        real_end &= nodes.real_mask
+        points = nodes.positions[real_end]
+        if not np.all(domain.contains(points)):
+            raise GeometryError("ray origin lies outside the domain")
+        # covers the crossing test's 1e-10 tolerance on the edge parameter
+        # and the rounding of both distances
+        slack = 1e-9 * (bonds.horizon + domain.diameter())
+        cast = np.zeros(nodes.n, dtype=bool)
+        cast[real_end] = domain.boundary_distance(points, edge_indices) <= bonds.horizon + slack
         for phi, ends, signs in ((phi_i, bonds.i, 1.0), (phi_j, bonds.j, -1.0)):
-            active = ~virt[ends]
+            active = cast[ends]
             if not np.any(active):
                 continue
             phi[active] = correction_factors(

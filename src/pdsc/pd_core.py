@@ -81,34 +81,53 @@ class SolveDiagnostics:
     residual: float
 
 
-def assemble(nodes: NodeSet, bonds: BondTable,
-             correction: CorrectionField) -> sp.csr_matrix:
-    """Stiffness operator from per-bond coefficients (2N x 2N CSR).
+def _upper_blocks(nodes: NodeSet, bonds: BondTable,
+                  correction: CorrectionField) -> sp.csr_matrix:
+    """``U`` of ``K = U + U^T`` (see :func:`assemble`).
 
-    Diagonal blocks are accumulated once per node and mirrored entries share
-    the same summed values, so K equals its transpose exactly.
+    A function of its own so that its per-bond temporaries and COO arrays
+    are freed before the sum, which holds the allocation peak.
     """
-    n = nodes.n
+    n, m = nodes.n, bonds.m
     w = (correction.coeff / bonds.length
          * nodes.volumes[bonds.i] * nodes.volumes[bonds.j])
     ex, ey = bonds.unit[:, 0], bonds.unit[:, 1]
     bxx, bxy, byy = w * ex * ex, w * ex * ey, w * ey * ey
-    i2, j2 = 2 * bonds.i.astype(np.int64), 2 * bonds.j.astype(np.int64)
-    # coupling blocks: one bond per unordered pair, so no duplicate entries
-    rows = np.concatenate([i2, i2, i2 + 1, i2 + 1])
-    cols = np.concatenate([j2, j2 + 1, j2, j2 + 1])
-    data = np.concatenate([-bxx, -bxy, -bxy, -byy])
-    coupling = sp.coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+    # COO entries: three per node, then four per bond
+    rows = np.empty(3 * n + 4 * m, dtype=np.int32)
+    cols = np.empty_like(rows)
+    data = np.empty(len(rows))
+    nr, nc, nd = (a[:3 * n].reshape(n, 3) for a in (rows, cols, data))
+    br, bc, bd = (a[3 * n:].reshape(m, 4) for a in (rows, cols, data))
+    nr[:] = 2 * np.arange(n)[:, None] + [0, 0, 1]
+    nc[:] = 2 * np.arange(n)[:, None] + [0, 1, 1]
     # node-diagonal blocks from both bond endpoints
-    dxx = np.bincount(bonds.i, bxx, n) + np.bincount(bonds.j, bxx, n)
-    dxy = np.bincount(bonds.i, bxy, n) + np.bincount(bonds.j, bxy, n)
-    dyy = np.bincount(bonds.i, byy, n) + np.bincount(bonds.j, byy, n)
-    idx = 2 * np.arange(n, dtype=np.int64)
-    drows = np.concatenate([idx, idx, idx + 1, idx + 1])
-    dcols = np.concatenate([idx, idx + 1, idx, idx + 1])
-    ddata = np.concatenate([dxx, dxy, dxy, dyy])
-    diag = sp.coo_matrix((ddata, (drows, dcols)), shape=(2 * n, 2 * n)).tocsr()
-    return (coupling + coupling.T + diag).tocsr()
+    for col, b in enumerate((bxx, bxy, byy)):
+        nd[:, col] = np.bincount(bonds.i, b, n) + np.bincount(bonds.j, b, n)
+    nd[:, ::2] *= 0.5  # the sum with U^T doubles the diagonal back
+    np.add(2 * bonds.i[:, None], np.array([0, 0, 1, 1], dtype=np.int32), out=br)
+    np.add(2 * bonds.j[:, None], np.array([0, 1, 0, 1], dtype=np.int32), out=bc)
+    for col, b in enumerate((bxx, bxy, bxy, byy)):
+        np.negative(b, out=bd[:, col])
+    return sp.coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+
+
+def assemble(nodes: NodeSet, bonds: BondTable,
+             correction: CorrectionField) -> sp.csr_matrix:
+    """Stiffness operator from per-bond coefficients (2N x 2N CSR).
+
+    ``K = U + U^T`` from one sum of CSR matrices. ``U`` holds each node's
+    2x2 diagonal block as its upper triangle with the diagonal halved
+    (``0.5 * d + 0.5 * d == d`` exactly), then each bond's ``(i, j)`` block.
+    The diagonal blocks are accumulated once per node and mirrored entries
+    share the same values, so K equals its transpose exactly; the sum drops
+    exact zeros. ``U``'s entries are laid out node blocks first, then bonds
+    in table order, so a table sorted by ``(i, j)``, as
+    :func:`~pdsc.geometry.build_bonds` returns it, gives sorted rows and
+    nothing to sort; any other order gives the same ``K``.
+    """
+    u = _upper_blocks(nodes, bonds, correction)
+    return u + u.T
 
 
 def _pcg(a: sp.csr_matrix, rhs: np.ndarray, tol: float,
@@ -152,12 +171,23 @@ def _operator_reach(positions: np.ndarray, k: sp.spmatrix) -> np.ndarray:
     """Largest distance per axis between two nodes that share a stored entry.
 
     Both dof rows of every node count: the x-x entries of a bond along y are
-    exactly zero, so the x rows alone would miss it.
+    exactly zero, so the x rows alone would miss it. Each nonempty row's
+    extreme column positions are compared with its own node's: the rounded
+    difference ``x_c - x_r`` is monotone in ``x_c``, so this is the largest
+    ``|x_r - x_c|`` over the stored entries, bit for bit.
     """
-    coo = k.tocoo()
-    ni, nj = coo.row // 2, coo.col // 2
-    return np.array([np.abs(positions[ni, a] - positions[nj, a]).max(initial=0.0)
-                     for a in (0, 1)])
+    k = sp.csr_matrix(k)
+    rows = np.flatnonzero(np.diff(k.indptr))
+    reach = np.zeros(2)
+    if len(rows) == 0:
+        return reach
+    starts = k.indptr[rows]
+    for a in (0, 1):
+        x = np.repeat(positions[:, a], 2)  # per dof
+        xc, xr = x[k.indices], x[rows]
+        reach[a] = max(np.abs(np.maximum.reduceat(xc, starts) - xr).max(),
+                       np.abs(xr - np.minimum.reduceat(xc, starts)).max())
+    return reach
 
 
 def _bisect(p: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,15 @@ class TestDomain:
             [True, True, False]
         assert dom.boundary_distance(np.array([[0.0, 0.0]]))[0] == pytest.approx(25.0)
 
+    def test_boundary_distance_to_an_edge_subset(self):
+        dom = Domain.rectangle(50, 100)
+        pts = np.array([[0.0, 0.0], [20.0, 45.0], [-24.0, -10.0]])
+        assert dom.boundary_distance(pts, dom.side_edge_indices(["+y"])).tolist() == \
+            [50.0, 5.0, 60.0]
+        assert dom.boundary_distance(pts, np.arange(4)).tolist() == \
+            dom.boundary_distance(pts).tolist() == [25.0, 5.0, 1.0]
+        assert np.all(dom.boundary_distance(pts, np.array([], dtype=int)) == np.inf)
+
     def test_rejects_clockwise_polygon(self):
         with pytest.raises(GeometryError):
             Domain(np.array([[0, 0], [0, 1], [1, 1], [1, 0]]))
@@ -162,6 +171,8 @@ class TestBuildBonds:
         horizon = 2.5
         bonds = geo.build_bonds(nodes, horizon)
         got = set(zip(bonds.i.tolist(), bonds.j.tolist()))
+        # sorted by (i, j), which assembly relies on for sorted rows
+        assert sorted(got) == list(zip(bonds.i.tolist(), bonds.j.tolist()))
         expect = set()
         for a in range(nodes.n):
             for b in range(a + 1, nodes.n):

@@ -221,6 +221,97 @@ class TestCorrectBonds:
         assert np.allclose(corr.coeff, corr2.coeff, rtol=1e-12)
 
 
+def _unscreened(bonds, nodes, domain, material, surfaces):
+    """phi_i, phi_j and coeff with a ray cast from every real bond end."""
+    edges = None if surfaces == "all" else domain.side_edge_indices(surfaces)
+    phis = []
+    for ends, sign in ((bonds.i, 1.0), (bonds.j, -1.0)):
+        phi = np.ones(bonds.m)
+        real = nodes.real_mask[ends]
+        phi[real] = mat.correction_factors(nodes.positions[ends[real]],
+                                           sign * bonds.unit[real], domain,
+                                           bonds.horizon, material.profile, edges)
+        phis.append(phi)
+    bulk = material.bond_amplitude(bonds.length)
+    return phis[0], phis[1], 0.5 * bulk * (phis[0] + phis[1])
+
+
+def _screen_case(case):
+    """Domain, nodes and active surfaces of one ray-screen case."""
+    if case == "polygon":
+        dom = Domain(np.array([[0.0, 0.0], [9.0, 1.0], [10.0, 6.0], [4.0, 9.5],
+                               [-1.0, 5.0]]))
+        return dom, geo.build_grid(dom, GridSpec.covering(dom, 0.5)), "all"
+    dom = Domain.rectangle(8.0, 6.0)
+    if case == "sides-virtual":
+        nodes = geo.build_grid(dom, GridSpec.cell_centered(dom, 0.5))
+        for side in ("+y", "-y"):
+            nodes = geo.add_virtual_layers(nodes, dom, side, 3)
+        return dom, nodes, ("-x", "+x")
+    # covering grid: rows and columns at exactly one horizon from each edge
+    return dom, geo.build_grid(dom, GridSpec.covering(dom, 0.5)), "all"
+
+
+class TestRayScreen:
+    """Rays are cast only near active edges, with the unscreened result."""
+
+    @pytest.mark.parametrize("case", ["rectangle", "sides-virtual", "polygon"])
+    @pytest.mark.parametrize("kind", ["constant", "conical"])
+    def test_equals_unscreened_cast(self, case, kind, monkeypatch):
+        horizon = 1.5
+        dom, nodes, surfaces = _screen_case(case)
+        bonds = geo.build_bonds(nodes, horizon)
+        m = MaterialModel.calibrated(ElasticParams(E, T), horizon, kind, "discrete", 0.5)
+        phi_i, phi_j, coeff = _unscreened(bonds, nodes, dom, m, surfaces)
+        rays = []
+        cast = mat.truncated_lengths
+        monkeypatch.setattr(mat, "truncated_lengths",
+                            lambda o, *a: rays.append(len(o)) or cast(o, *a))
+        corr = mat.correct_bonds(bonds, nodes, dom, m, surfaces)
+        for got, want in ((corr.phi_i, phi_i), (corr.phi_j, phi_j), (corr.coeff, coeff)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        real_ends = (nodes.real_mask[bonds.i].sum() + nodes.real_mask[bonds.j].sum())
+        assert 0 < sum(rays) < real_ends
+
+    def test_node_at_one_horizon_is_cast(self, monkeypatch):
+        horizon = 1.5
+        dom, nodes, _ = _screen_case("rectangle")
+        depth = dom.boundary_distance(nodes.positions)
+        assert np.sum(depth == horizon) > 0
+        bonds = geo.build_bonds(nodes, horizon)
+        m = MaterialModel.calibrated(ElasticParams(E, T), horizon, "constant",
+                                     "discrete", 0.5)
+        origins = []
+        cast = mat.truncated_lengths
+        monkeypatch.setattr(mat, "truncated_lengths",
+                            lambda o, *a: origins.append(o) or cast(o, *a))
+        corr = mat.correct_bonds(bonds, nodes, dom, m, "all")
+        ray_depth = dom.boundary_distance(np.concatenate(origins))
+        assert np.any(ray_depth == horizon) and ray_depth.max() == horizon
+        phi_i, phi_j, _ = _unscreened(bonds, nodes, dom, m, "all")
+        assert np.array_equal(corr.phi_i, phi_i) and np.array_equal(corr.phi_j, phi_j)
+
+    def test_no_surfaces_is_unscaled(self):
+        dom, nodes, _ = _screen_case("rectangle")
+        bonds = geo.build_bonds(nodes, 1.5)
+        m = MaterialModel.calibrated(ElasticParams(E, T), 1.5, "constant", "discrete", 0.5)
+        corr = mat.correct_bonds(bonds, nodes, dom, m, ())
+        assert np.all(corr.phi_i == 1.0) and np.all(corr.phi_j == 1.0)
+        assert np.array_equal(corr.coeff, corr.bulk)
+
+    def test_real_node_beyond_an_inactive_edge_is_refused(self):
+        # farther than the horizon from both active edges, so it casts no ray
+        dom, nodes, _ = _screen_case("rectangle")
+        out = geo.NodeSet(np.vstack([nodes.positions, [[0.0, 3.25]]]),
+                          np.append(nodes.volumes, 0.25),
+                          np.append(nodes.roles, geo.ROLE_INTERIOR).astype(np.uint8),
+                          nodes.spacing)
+        bonds = geo.build_bonds(out, 1.5)
+        m = MaterialModel.calibrated(ElasticParams(E, T), 1.5, "constant", "discrete", 0.5)
+        with pytest.raises(geo.GeometryError, match="ray origin lies outside the domain"):
+            mat.correct_bonds(bonds, out, dom, m, ("-x", "+x"))
+
+
 class TestSurfaceSoftening:
     def test_uncorrected_surface_energy_deficit(self):
         # without correction, a surface node stores less energy than the bulk

@@ -1,5 +1,6 @@
 """Operator assembly, solves, energies, reactions and contact stepping."""
 
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -41,6 +42,56 @@ def small_model(nx=6, ny=6, spacing=1.0, horizon=2.5, surfaces="all"):
     return dom, nodes, bonds, m, corr, k
 
 
+def _assemble_reference(nodes, bonds, correction):
+    """K as the sum of three matrices: the bond blocks, their transpose and the
+    node blocks."""
+    n = nodes.n
+    w = (correction.coeff / bonds.length
+         * nodes.volumes[bonds.i] * nodes.volumes[bonds.j])
+    ex, ey = bonds.unit[:, 0], bonds.unit[:, 1]
+    bxx, bxy, byy = w * ex * ex, w * ex * ey, w * ey * ey
+    i2, j2 = 2 * bonds.i.astype(np.int64), 2 * bonds.j.astype(np.int64)
+    rows = np.concatenate([i2, i2, i2 + 1, i2 + 1])
+    cols = np.concatenate([j2, j2 + 1, j2, j2 + 1])
+    data = np.concatenate([-bxx, -bxy, -bxy, -byy])
+    coupling = sp.coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
+    dxx = np.bincount(bonds.i, bxx, n) + np.bincount(bonds.j, bxx, n)
+    dxy = np.bincount(bonds.i, bxy, n) + np.bincount(bonds.j, bxy, n)
+    dyy = np.bincount(bonds.i, byy, n) + np.bincount(bonds.j, byy, n)
+    idx = 2 * np.arange(n, dtype=np.int64)
+    drows = np.concatenate([idx, idx, idx + 1, idx + 1])
+    dcols = np.concatenate([idx, idx + 1, idx, idx + 1])
+    ddata = np.concatenate([dxx, dxy, dxy, dyy])
+    diag = sp.coo_matrix((ddata, (drows, dcols)), shape=(2 * n, 2 * n)).tocsr()
+    return (coupling + coupling.T + diag).tocsr()
+
+
+def _assembly_case(case):
+    """Nodes, bonds and correction of one assembly case."""
+    if case == "virtual":
+        # the clamped sheet's virtual-node lattice at horizon / 6
+        dom = Domain.rectangle(4.0, 4.0)
+        nodes = geo.build_grid(dom, GridSpec.cell_centered(dom, 1 / 6))
+        for side in ("+y", "-y"):
+            nodes = geo.add_virtual_layers(nodes, dom, side, 6)
+        bonds = geo.build_bonds(nodes, 1.0)
+        m = MaterialModel.calibrated(ElasticParams(E, 1.0), 1.0, "constant",
+                                     "discrete", 1 / 6)
+        return nodes, bonds, mat.correct_bonds(bonds, nodes, dom, m, ("-x", "+x"))
+    if case == "empty":
+        _, nodes, _, _, _, _ = small_model()
+        bonds = geo.build_bonds(nodes, 0.5)
+        return nodes, bonds, CorrectionField(*(np.ones(0),) * 4)
+    horizon = 1.5 if case == "axis-bonds-zero-xy" else 3.0
+    _, nodes, bonds, _, corr, _ = small_model(nx=11, ny=14, horizon=horizon)
+    if case == "shuffled":
+        p = np.random.default_rng(5).permutation(bonds.m)
+        bonds = geo.BondTable(bonds.i[p], bonds.j[p], bonds.xi[p], bonds.length[p],
+                              bonds.unit[p], bonds.horizon)
+        corr = CorrectionField(corr.phi_i[p], corr.phi_j[p], corr.bulk[p], corr.coeff[p])
+    return nodes, bonds, corr
+
+
 class TestAssemble:
     def test_two_node_block(self):
         # one bond along x: the x-dof block is (c V^2 / xi) [[1,-1],[-1,1]]
@@ -75,6 +126,34 @@ class TestAssemble:
         _, _, _, _, _, k = small_model()
         diff = (k - k.T).tocoo()
         assert len(diff.data) == 0 or np.abs(diff.data).max() == 0.0
+
+    @pytest.mark.parametrize("case", ["corrected", "virtual", "axis-bonds-zero-xy",
+                                      "shuffled", "empty"])
+    def test_matches_three_matrix_formula(self, case):
+        nodes, bonds, corr = _assembly_case(case)
+        assert (bonds.m == 0) == (case == "empty")
+        got, want = pd_core.assemble(nodes, bonds, corr), _assemble_reference(nodes, bonds, corr)
+        for name in ("indptr", "indices"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        assert got.has_canonical_format and want.has_canonical_format
+        if case == "axis-bonds-zero-xy":
+            # an x-y entry is stored for each diagonal bond and no axis bond
+            stored = sp.csr_matrix((np.ones(got.nnz), got.indices, got.indptr), got.shape)
+            held = np.asarray(stored[2 * bonds.i, 2 * bonds.j + 1]).ravel() == 1
+            along = (bonds.xi == 0).any(axis=1)
+            assert along.any() and np.array_equal(held, ~along)
+
+    def test_peak_memory_within_3_5_times_the_operator(self):
+        nodes, bonds, corr = _assembly_case("virtual")
+        tracemalloc.start()
+        try:
+            k = pd_core.assemble(nodes, bonds, corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (k.data.nbytes + k.indices.nbytes + k.indptr.nbytes)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -351,7 +430,38 @@ def _node_dofs(ids):
     return np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
 
 
+def _reach_reference(positions, k):
+    """Largest per-axis distance over every stored entry of ``k``."""
+    coo = k.tocoo()
+    ni, nj = coo.row // 2, coo.col // 2
+    return np.array([np.abs(positions[ni, a] - positions[nj, a]).max(initial=0.0)
+                     for a in (0, 1)])
+
+
 class TestNestedDissection:
+    @pytest.mark.parametrize("kind", ["bonds", "q4", "half-folds"])
+    def test_reach_matches_entrywise_formula(self, kind, monkeypatch):
+        seen = []
+        reach = pd_core._operator_reach
+
+        def checked(positions, k):
+            got = reach(positions, k)
+            seen.append(k.shape)
+            assert np.array_equal(got.view(np.int64),
+                                  _reach_reference(positions, k).view(np.int64))
+            return got
+
+        if kind != "half-folds":
+            checked(*operator(kind))
+        else:
+            # K_a is factored by the mirror check, K_s by the ramp
+            monkeypatch.setattr(pd_core, "_operator_reach", checked)
+            nodes, bonds, k, base, top = TestIndentationRamp()._setup()
+            pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
+                                    np.array([0.1]), bonds=bonds)
+            assert len(seen) == 2 and seen[0] == seen[1] != k.shape
+        assert seen
+
     @pytest.mark.parametrize("kind", ["bonds", "q4"])
     def test_order_is_a_permutation(self, kind):
         positions, k = operator(kind)
