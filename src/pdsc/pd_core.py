@@ -213,7 +213,11 @@ def nested_dissection(positions: np.ndarray, k: sp.spmatrix) -> list[tuple]:
     split, are leaves with no children. The list is in postorder, each block
     after its children: its ids, concatenated, are an elimination order.
     """
-    reach = _operator_reach(positions, k)
+    return _dissect(positions, _operator_reach(positions, k))
+
+
+def _dissect(positions: np.ndarray, reach: np.ndarray) -> list[tuple]:
+    """:func:`nested_dissection` by the per-axis ``reach`` of the operator."""
     tree = []
 
     def split(ids) -> int:
@@ -243,6 +247,19 @@ def _available_memory() -> int | None:
     return min(known, default=None)
 
 
+def _rcond_verdict(diagonals) -> str | None:
+    """Why a factor with these pivot diagonals is refused, or None.
+
+    CHOLMOD's rcond estimate ``(min L_ii / max L_ii)^2`` below the machine
+    epsilon: a mechanism whose pivots round to tiny positive values.
+    """
+    pivots = np.concatenate([np.ones(0), *diagonals])
+    rcond = (pivots.min() / pivots.max()) ** 2 if len(pivots) else 1.0
+    if rcond < np.finfo(float).eps:
+        return f"the matrix is not positive definite: its factor's rcond estimate is {rcond:.3g}"
+    return None
+
+
 class MultifrontalCholesky:
     """``A = L L^T`` of an SPD matrix by dense fronts on an assembly tree.
 
@@ -257,24 +274,38 @@ class MultifrontalCholesky:
     fight it.
     A factor that would not fit in :func:`_available_memory`, a front that is
     not positive definite and a ``MemoryError`` raise :class:`SolverFailure`.
-    So does a mechanism whose pivots round to tiny positive values: CHOLMOD's
-    rcond estimate ``(min L_ii / max L_ii)^2`` below the machine epsilon.
+    So does a mechanism whose pivots round to tiny positive values (see
+    :func:`_rcond_verdict`).
     ``L.nnz`` (``U = L^T``) counts stored entries, zeros in the fronts too.
+
+    ``twin = (b, r, name)`` also decides, in the same pass, whether a second
+    matrix ``B`` is positive definite, without factoring it: ``B`` equals
+    ``A`` outside the last node's (the root's) own block, its root unknowns
+    are the first ``r`` of ``A``'s followed by ``B``'s own, which no other
+    node couples to, and ``b`` is ``B``'s block on them. Every front below the
+    root is then the same for both, so ``B``'s root front is ``A``'s with
+    ``A``'s own entries replaced by ``b``: one more dense Cholesky, whose
+    verdict, over the shared pivots and its own, comes first and is prefixed
+    with ``name``. The memory estimate counts it.
     """
 
-    def __init__(self, a: sp.spmatrix, sizes, children):
+    def __init__(self, a: sp.spmatrix, sizes, children, twin=None):
         a = sp.csr_matrix(a)
         ends = np.cumsum(sizes, dtype=np.int64)
         starts = ends - sizes
+        root = len(ends) - 1
         bounds, alive, nnz, stored, peak = [], [], 0, 0, 0
-        for s, e, kids in zip(starts, ends, children):
+        for t, (s, e, kids) in enumerate(zip(starts, ends, children)):
             cols = a.indices[a.indptr[s]:a.indptr[e]]
             bounds.append(np.unique(np.concatenate(
                 [cols[cols >= e]] + [bounds[c][bounds[c] >= e] for c in kids])))
             p, b = e - s, len(bounds[-1])
             nnz += p * (p + 1) // 2 + p * b
             stored += p * p + p * b
-            peak = max(peak, stored + sum(alive) + (p + b) ** 2 + b * b)
+            front = (p + b) ** 2 + b * b
+            if t == root and twin is not None:
+                front += twin[0].shape[0] ** 2  # B's root front
+            peak = max(peak, stored + sum(alive) + front)
             alive[len(alive) - len(kids):] = [b * b]
         need, have = 8 * peak, _available_memory()
         if have is not None and need > have:
@@ -291,12 +322,14 @@ class MultifrontalCholesky:
                 # the own columns, with F_BB apart so that dsyrk can overwrite
                 # it; own rows of A go in as columns (only the lower triangle
                 # is used), summed so that duplicate entries add up
-                own = slice(a.indptr[s], a.indptr[e])
-                cols = a.indices[own]
+                span = slice(a.indptr[s], a.indptr[e])
+                cols = a.indices[span]
                 rows = np.repeat(np.arange(p), np.diff(a.indptr[s:e + 1]))
                 mine = cols >= s
-                f = np.bincount(loc[cols[mine]] + m * rows[mine], a.data[own][mine],
-                                m * p).reshape((m, p), order="F")
+                at, val = loc[cols[mine]] + m * rows[mine], a.data[span][mine]
+                split = t == root and twin is not None  # B's root front needs the updates alone
+                f = (np.zeros((m, p), order="F") if split else
+                     np.bincount(at, val, m * p).reshape((m, p), order="F"))
                 fbb = np.zeros((m - p, m - p), order="F")
                 for c in kids:
                     # by runs of consecutive positions, few on these fronts;
@@ -308,11 +341,16 @@ class MultifrontalCholesky:
                             f[pos[i:], pos[i]:pos[i] + j - i] += u[i:, i:j]
                         else:
                             fbb[pos[i:] - p, pos[i] - p:pos[i] - p + j - i] += u[i:, i:j]
+                u = None  # freed before the dense factors
+                if split:
+                    self._decide_twin(t, f, twin)
+                    f += np.bincount(at, val, m * p).reshape((m, p), order="F")
                 if p == 0:  # a node with no unknowns passes its children's updates on
                     updates[t] = fbb
                     continue
                 try:
-                    l11 = cholesky(f[:p], lower=True, check_finite=False)
+                    # in place on a front without boundary, copied on the others
+                    l11 = cholesky(f[:p], lower=True, overwrite_a=True, check_finite=False)
                 except LinAlgError as exc:
                     raise SolverFailure(f"the matrix is not positive definite at front "
                                         f"{t} ({p} unknowns, {len(bnd)} boundary)") from exc
@@ -322,11 +360,27 @@ class MultifrontalCholesky:
                 self.fronts.append((s, e, bnd, l11, w))
         except MemoryError as exc:
             raise SolverFailure(f"out of memory factoring {a.shape[0]} unknowns") from exc
-        pivots = np.concatenate([np.diag(f[3]) for f in self.fronts] or [[1.0]])
-        rcond = (pivots.min() / pivots.max()) ** 2
-        if rcond < np.finfo(float).eps:
-            raise SolverFailure(f"the matrix is not positive definite: its factor's rcond "
-                                f"estimate is {rcond:.3g}")
+        refused = _rcond_verdict(np.diag(f[3]) for f in self.fronts)
+        if refused:
+            raise SolverFailure(refused)
+
+    def _decide_twin(self, t: int, update: np.ndarray, twin) -> None:
+        """Raise SolverFailure if the twin ``B`` is not positive definite.
+
+        ``update`` is the sum of the root's children's updates, on ``A``'s
+        root unknowns; ``self.fronts`` holds every front below the root.
+        """
+        b, r, name = twin
+        fb = b.toarray(order="F")
+        fb[:r, :r] += update[:r, :r]
+        try:
+            lb = cholesky(fb, lower=True, overwrite_a=True, check_finite=False)
+        except LinAlgError as exc:
+            raise SolverFailure(f"{name}, the matrix is not positive definite at front "
+                                f"{t} ({len(fb)} unknowns, 0 boundary)") from exc
+        refused = _rcond_verdict([np.diag(lb), *(np.diag(f[3]) for f in self.fronts)])
+        if refused:
+            raise SolverFailure(f"{name}, {refused}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``A^{-1} b`` for one column ``(n,)`` or many ``(n, k)``.
@@ -488,21 +542,43 @@ class InversionScreen:
         return ids[check_bond_inversion(sub, u)]
 
 
-def _factor_free(k: sp.csr_matrix, pres: np.ndarray, positions: np.ndarray):
+def _factor_free(k: sp.csr_matrix, pres: np.ndarray, positions: np.ndarray, root=None):
     """The dofs not in ``pres``, ``k``'s block on them and its factor.
 
     The free dofs are numbered by the :func:`nested_dissection` tree of the
     nodes at ``positions``, both dofs of a node together, and the block is
     factored by a :class:`MultifrontalCholesky` on that tree.
+
+    ``root = (strip, reach, kb, held)`` comes from :func:`_mirror_half`: the
+    nodes of the mask ``strip`` are the tree's root, the others keep their
+    dissection by the operator's ``reach``, and the factor decides on the
+    antisymmetric fold ``K_a`` as its twin. ``kb`` holds ``K_a``'s rows of
+    the strip's dofs, ``held`` its held strip dofs. The strip nodes whose
+    held dofs differ between the folds (those on x = 0) are numbered last.
     """
-    tree = nested_dissection(positions, k)
+    twin = None
+    if root is None:
+        tree = nested_dissection(positions, k)
+    else:
+        strip, reach, kb, held = root
+        rest, band = np.flatnonzero(~strip), np.flatnonzero(strip)
+        tree = [(rest[ids], kids) for ids, kids in _dissect(positions[rest], reach)]
+        differ = (held != pres.reshape(-1, 2)[band]).any(axis=1)
+        order = np.argsort(differ, kind="stable")
+        tree.append((band[order], (len(tree) - 1,)))
+        # K_a's root unknowns: the shared ones in K_s's order, then its own
+        own = ~held[order]
+        rows = np.stack([2 * order, 2 * order + 1], axis=1).ravel()[own.ravel()]
+        cols = np.stack([2 * band[order], 2 * band[order] + 1], axis=1).ravel()[own.ravel()]
+        twin = (kb[rows][:, cols], int(own[~differ[order]].sum()),
+                "on fields antisymmetric about x = 0")
     nodes = np.concatenate([ids for ids, _ in tree])
     dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
     free = dofs[~pres[dofs]]
     # each block's free dofs are consecutive in this numbering
     sizes = [(~pres[2 * ids]).sum() + (~pres[2 * ids + 1]).sum() for ids, _ in tree]
     kff = k[free][:, free]
-    return free, kff, MultifrontalCholesky(kff, sizes, [kids for _, kids in tree])
+    return free, kff, MultifrontalCholesky(kff, sizes, [kids for _, kids in tree], twin)
 
 
 class RampSolver:
@@ -514,26 +590,34 @@ class RampSolver:
     constraints (the stick-contact set) are enforced through a bordered Schur
     complement: each :meth:`add_constraints` call backsolves all of its new
     dofs in one multi-column solve, whose forward sweep visits only the fronts
-    from theirs up to the root, and extends the Gram matrix by one block,
-    and each step solves with the Gram matrix's Cholesky factor. Residuals
-    are verified against the same contract as :func:`solve_static` and
-    polished by iterative refinement when needed.
+    from theirs up to the root, extends the Gram matrix by one block and
+    ``K C`` by the new columns, and each step solves with the Gram matrix's
+    Cholesky factor. A step's first residual is then ``r0 + (K C) lam``, one
+    dense ``gemv`` from the cached residual ``r0`` of the unconstrained
+    solution; it is verified against the same contract as
+    :func:`solve_static` and polished by iterative refinement when needed,
+    each round's residual taken from the sparse product.
+
+    ``_root`` is :func:`run_indentation`'s alone: the strip of the mirror
+    half that :func:`_factor_free` makes the tree's root.
     """
 
     def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, positions: np.ndarray,
-                 tol: float = 1e-10):
+                 tol: float = 1e-10, *, _root=None):
         base_bcs.validate()
         self.tol = tol
         ndof = k.shape[0]
         pres = base_bcs.prescribed_mask.ravel()
-        self.free, self.kff, self.lu = _factor_free(k, pres, positions)
+        self.free, self.kff, self.lu = _factor_free(k, pres, positions, _root)
         self.local = np.full(ndof, -1, dtype=np.int64)
         self.local[self.free] = np.arange(len(self.free))
         self.u_base = np.zeros(ndof)
         self.u_base[pres] = base_bcs.prescribed_value.ravel()[pres]
         self.rhs = (base_bcs.loads.ravel() - k @ self.u_base)[self.free]
         self.y = self.lu.solve(self.rhs)       # unconstrained solution, cached
+        self.r0 = self.rhs - self.kff @ self.y  # and its residual
         self._cols = np.empty((len(self.free), 0), order="F")
+        self._kcols = np.empty_like(self._cols)     # K times each of _cols
         self.cdofs: list[int] = []                  # free-local constrained dofs
         self.gram = np.empty((0, 0))                # S^T A^{-1} S
         self._gram_factor = None                    # cho_factor of gram
@@ -575,13 +659,16 @@ class RampSolver:
         except LinAlgError as exc:
             raise SolverFailure(f"the Gram matrix of {n + m} contact dofs is not "
                                 "positive definite") from exc
+        # column by column: scipy's product with a few columns at once is slower
+        kcols = np.column_stack([self.kff @ c for c in cols.T])
         self.gram, self._gram_factor = gram, factor
         if n + m > self._cols.shape[1]:
-            grown = np.empty((len(self.free), max(2 * self._cols.shape[1], n + m)),
-                             order="F")
-            grown[:, :n] = self.cols
-            self._cols = grown
+            width, old = max(2 * self._cols.shape[1], n + m), (self._cols, self._kcols)
+            self._cols, self._kcols = (np.empty((len(self.free), width), order="F")
+                                       for _ in old)
+            self._cols[:, :n], self._kcols[:, :n] = (a[:, :n] for a in old)
         self._cols[:, n:n + m] = cols
+        self._kcols[:, n:n + m] = kcols
         self.cdofs += new
 
     def solve(self, values: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
@@ -594,13 +681,15 @@ class RampSolver:
             raise SolverFailure("ramp solve given non-finite contact values")
         if not len(self.free):  # the base set prescribes every dof
             return self.u_base.reshape(-1, 2).copy(), SolveDiagnostics("direct", 0, 0.0)
-        uf = self.y.copy()
+        uf, r = self.y.copy(), self.r0.copy()
         if self.cdofs:
             lam = cho_solve(self._gram_factor, uf[self.cdofs] - values, check_finite=False)
             uf = dgemv(-1.0, self.cols, lam, beta=1.0, y=uf, overwrite_y=1)
+            # rhs - K (y - C lam) = r0 + (K C) lam
+            r = dgemv(1.0, self._kcols[:, :len(self.cdofs)], lam, beta=1.0, y=r,
+                      overwrite_y=1)
         rounds, ref = 0, dnrm2(self.rhs) or 1.0
         while True:
-            r = self.rhs - self.kff @ uf
             r[self.cdofs] = 0.0  # constrained rows carry reaction, not residual
             res = dnrm2(r) / ref
             if not res > self.tol or rounds >= 3:  # a NaN residual stops too
@@ -611,6 +700,7 @@ class RampSolver:
                 d = dgemv(-1.0, self.cols, lam, beta=1.0, y=d, overwrite_y=1)
             uf += d
             rounds += 1
+            r = self.rhs - self.kff @ uf
         if not res <= self.tol:
             raise SolverFailure(
                 f"ramp solve stalled at relative residual {res:.3e} (tol {self.tol:.1e})")
@@ -676,14 +766,19 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     ``K`` is positive definite on the base set's free dofs only if both
     ``K_s = P^T K P`` and its antisymmetric fold ``K_a = Q^T K Q`` are, ``Q``
     keeping ``u_y`` odd and ``u_x`` even. The ramp never meets a field of
-    ``Q``, but ``K_a`` is factored once here, and dropped, so that a
-    mechanism of the set-up raises the factor's SolverFailure "not positive
-    definite" on either side of the fold, as the whole factor did; on this
-    side the message names the antisymmetric fields.
+    ``Q``, but a mechanism of the set-up must still raise the factor's
+    SolverFailure "not positive definite" on either side of the fold, as the
+    whole factor did. The folds differ only where both dofs lie in the strip
+    ``0 <= x <= reach`` of ``K``'s :func:`_operator_reach` (a half entry
+    couples node ``i`` to the image of ``j`` only when ``x_i + x_j <=
+    reach``), and in their held dofs on x = 0. So only ``K_a``'s strip rows
+    are folded: ``K_s``'s factor takes the strip as its root front, and the
+    verdict on ``K_a`` is one more dense factor of that root (see
+    :func:`_factor_free`), whose message names the antisymmetric fields.
 
     Returns the half's node ids, their mirror images' ids (their own on
-    x = 0), ``K_s`` and the half's base set: the half's own, plus ``u_x = 0``
-    on x = 0, with the loads ``P^T f``.
+    x = 0), ``K_s``, the half's base set (the half's own, plus ``u_x = 0`` on
+    x = 0, with the loads ``P^T f``) and the ``root`` of :func:`_factor_free`.
     """
     n = len(positions)
     mirror = _mirror_map(positions)
@@ -692,6 +787,7 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     rdof = np.stack([2 * mirror, 2 * mirror + 1], axis=1).ravel()
     hdof = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
     k = sp.csr_matrix(k)
+    reach = _operator_reach(positions, k)
     hk, rk = k[hdof], k[rdof[hdof]]
     # the half's rows of R K R^T - K; the other rows are their images
     flip = np.tile(_FLIP, n)
@@ -706,8 +802,9 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     mask, value, loads = (base_bcs.prescribed_mask, base_bcs.prescribed_value,
                           base_bcs.loads)
 
-    def skewed(a):  # departs from u(-x, y) = (-u_x, u_y) beyond rounding
-        return np.abs(a[mirror] * _FLIP - a).max() > 1e-12 * np.abs(a).max()
+    def skewed(a):  # departs from u(-x, y) = (-u_x, u_y) beyond rounding, or is not finite
+        gap = np.abs(a[mirror] * _FLIP - a)
+        return not np.isfinite(gap).all() or gap.max() > 1e-12 * np.abs(a).max()
 
     surface = np.unique(surface_ids)
     for broken, what in (
@@ -724,31 +821,28 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     src[ids] = np.arange(len(ids))
     src[~right] = src[mirror[~right]]
 
-    def fold(flip):
-        # P^T K P (Q^T K Q for the flip -_FLIP): a half row of K P, twice off
-        # the axis; on the axis P has no column for the dof the flip negates,
-        # and the other dof's column takes the row once
+    def fold(flip, rows=None):
+        # the rows of the half dofs ``rows`` (all by default) of P^T K P
+        # (Q^T K Q for the flip -_FLIP): a half row of K P, twice off the
+        # axis; on the axis P has no column for the dof the flip negates, and
+        # the other dof's column takes the row once
         keep = flip > 0
         colfac = np.where(axis[:, None], keep, np.where(right[:, None], 1.0, flip))
         rowfac = np.where(axis[ids, None], keep, 2.0)
-        kf = sp.csr_matrix((hk.data * colfac.ravel()[hk.indices]
-                            * np.repeat(rowfac.ravel(), np.diff(hk.indptr)),
-                            (2 * src[:, None] + [0, 1]).ravel()[hk.indices],
-                            hk.indptr.copy()), shape=(2 * len(ids),) * 2)
+        h, hrow = (hk, rowfac.ravel()) if rows is None else (hk[rows], rowfac.ravel()[rows])
+        kf = sp.csr_matrix((h.data * colfac.ravel()[h.indices]
+                            * np.repeat(hrow, np.diff(h.indptr)),
+                            (2 * src[:, None] + [0, 1]).ravel()[h.indices],
+                            h.indptr.copy()), shape=(h.shape[0], 2 * len(ids)))
         kf.sum_duplicates()  # in place, indptr too
         return kf, mask[ids] | (axis[ids, None] & ~keep), rowfac
 
-    ka, held, _ = fold(-_FLIP)
-    try:
-        _factor_free(ka, held.ravel(), positions[ids])
-    except SolverFailure as exc:
-        if "not positive definite" not in str(exc):  # out of memory: passed on as is
-            raise
-        raise SolverFailure(f"on fields antisymmetric about x = 0, {exc}") from exc
     ks, held, rowfac = fold(_FLIP)
+    strip = positions[ids, 0] <= reach[0]
+    ka, held_a, _ = fold(-_FLIP, np.flatnonzero(np.repeat(strip, 2)))
     base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
                  loads[ids] * rowfac)
-    return ids, mirror[ids], ks, base
+    return ids, mirror[ids], ks, base, (strip, reach, ka, held_a[strip])
 
 
 def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
@@ -773,7 +867,8 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     the whole field; the result's ``stuck_ids`` hold both nodes of each
     mirror pair, with mirrored ``attach_offsets``, attached per step in node
     id order. A mechanism on fields of either parity raises SolverFailure
-    before the first step, from the factor of its fold.
+    before the first step, from the one factor of ``K_s`` and its root's twin
+    for ``K_a``.
 
     The scan goes through an :class:`InversionScreen` built once per ramp: it
     hands :func:`check_bond_inversion` only the bonds whose cell pair's
@@ -781,9 +876,10 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     """
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
-    ids, image, ks, base = _mirror_half(positions, k, base_bcs, surface_ids)
+    ids, image, ks, base, root = _mirror_half(positions, k, base_bcs, surface_ids)
     half, pair = positions[ids], image != ids
-    solver = RampSolver(ks, base, half, tol=tol)
+    solver = RampSolver(ks, base, half, tol=tol, _root=root)
+    del ks, root  # the solver keeps K_s's free block
     screen = InversionScreen(positions, bonds) if bonds is not None else None
     surface = np.flatnonzero(np.isin(ids, surface_ids))
     u, v = np.zeros_like(positions), np.zeros_like(half)

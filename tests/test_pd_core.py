@@ -454,12 +454,28 @@ class TestNestedDissection:
         if kind != "half-folds":
             checked(*operator(kind))
         else:
-            # K_a is factored by the mirror check, K_s by the ramp
+            # a ramp takes one reach, the whole operator's, for its one factor:
+            # the root front is the strip x <= reach of the half, and the
+            # dissection below it is by that reach too
             monkeypatch.setattr(pd_core, "_operator_reach", checked)
+            solvers = []
+
+            class Recorded(RampSolver):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    solvers.append(self)
+
+            monkeypatch.setattr(pd_core, "RampSolver", Recorded)
             nodes, bonds, k, base, top = TestIndentationRamp()._setup()
             pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
                                     np.array([0.1]), bonds=bonds)
-            assert len(seen) == 2 and seen[0] == seen[1] != k.shape
+            assert seen == [k.shape] and len(solvers) == 1
+            x = nodes.positions[:, 0]
+            half = np.flatnonzero(x >= 0)
+            strip = half[x[half] <= _reach_reference(nodes.positions, k)[0]]
+            strip = strip[~base.prescribed_mask[strip].all(axis=1)]  # with a free dof
+            s, e = solvers[0].lu.fronts[-1][:2]
+            assert np.array_equal(np.unique(half[solvers[0].free[s:e] // 2]), strip)
         assert seen
 
     @pytest.mark.parametrize("kind", ["bonds", "q4"])
@@ -768,6 +784,42 @@ class TestRampSolver:
         with pytest.raises(SolverFailure, match="non-finite contact values"):
             solver.solve(values)
 
+    @pytest.mark.parametrize("factor", ["exact", "inexact"])
+    def test_residual_is_the_sparse_products(self, factor, monkeypatch):
+        # a step's first residual is r0 + (K C) lam, not rhs - K u; an inexact
+        # factor (rows scaled by 1 + 1e-7 w) leaves residuals far above the
+        # rounding, which the tolerance then checks to five digits
+        if factor == "inexact":
+            real = pd_core.MultifrontalCholesky.solve
+            scale = {}
+
+            def inexact(self, b):
+                x = real(self, b)
+                w = scale.setdefault(len(x), 1 + 1e-7 * np.random.default_rng(4).uniform(
+                    -1, 1, len(x)))
+                return x * (w if x.ndim == 1 else w[:, None])
+
+            monkeypatch.setattr(pd_core.MultifrontalCholesky, "solve", inexact)
+        dom, nodes, bonds, m, corr, k = small_model(nx=10, ny=9)
+        base = BCSet(nodes.n)
+        base.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
+        top = nodes.on_side(dom, "+y")
+        base.add_load(top[:2], fx=0.3, fy=-1.0)
+        solver = RampSolver(k, base, nodes.positions, tol=1e-4)
+        kff = k.tocsr()[solver.free][:, solver.free]
+        rng, held = np.random.default_rng(6), []
+        for batch in np.array_split(top[2:], 4):  # the column buffers grow twice
+            dofs = np.stack([2 * batch, 2 * batch + 1], axis=1).ravel()
+            solver.add_constraints(dofs)
+            held += dofs.tolist()
+            u, diag = solver.solve(rng.uniform(-0.01, 0.01, len(held)))
+            r = solver.rhs - kff @ u.ravel()[solver.free]
+            r[solver.local[held]] = 0.0
+            direct = np.linalg.norm(r) / np.linalg.norm(solver.rhs)
+            assert diag.iterations == 0
+            assert abs(diag.residual - direct) <= 1e-12
+            assert (direct > 1e-9) == (factor == "inexact")
+
 
 def full_ramp(positions, k, base, surface, radius, depths, bonds):
     """The indentation ramp solved on the whole lattice, as a reference.
@@ -903,6 +955,89 @@ class TestIndentationRamp:
         with pytest.raises(SolverFailure, match="not positive definite"):
             pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
                                     np.array([0.1, 0.2]), bonds=bonds)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["left", "right"])
+    @pytest.mark.parametrize("what", ["load", "value"])
+    def test_non_finite_base_is_refused(self, what, side, value):
+        # a non-finite departure from the mirror symmetry is one too, on
+        # either side of x = 0
+        nodes, bonds, k, base, top = self._setup()
+        x, y = nodes.positions.T
+        if what == "load":
+            base.loads[np.flatnonzero((x == 2 * side) & (y == 0))[0], 1] = value
+        else:
+            base.prescribed_value[np.flatnonzero((x == 2 * side) & (y == y.min()))[0],
+                                  1] = value
+        message = "loads" if what == "load" else "prescribed values"
+        with pytest.raises(geo.GeometryError, match=f"base set's {message} are not odd"):
+            pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
+                                    np.array([0.1, 0.2]), bonds=bonds)
+
+    @staticmethod
+    def _folds(nodes, k):
+        """The half x >= 0's node ids and the explicit ``P^T K P`` and ``Q^T K Q``."""
+        x = nodes.positions[:, 0]
+        half = np.flatnonzero(x >= 0)
+        own = np.where(x >= 0, np.arange(nodes.n), pd_core._mirror_map(nodes.positions))
+        ij = (np.arange(2 * nodes.n), (2 * np.searchsorted(half, own)[:, None] + [0, 1]).ravel())
+        shape = (2 * nodes.n, 2 * len(half))
+        # u_x odd and u_y even under P, the other way round under Q
+        p, q = (sp.csr_matrix((np.stack(signs, axis=1).ravel(), ij), shape=shape)
+                for signs in ((np.sign(x), np.ones_like(x)), (np.ones_like(x), np.sign(x))))
+        return half, (p.T @ k @ p).tocsr(), (q.T @ k @ q).tocsr()
+
+    @pytest.mark.parametrize("surfaces", ["all", None], ids=["corrected", "uncorrected"])
+    @pytest.mark.parametrize("width", [12, 11.5], ids=["axis-column", "no-axis-column"])
+    def test_folds_differ_only_in_the_strip(self, width, surfaces):
+        # the premise of the single factor: K_a - K_s is nonzero only where
+        # both dofs lie in the strip 0 <= x <= reach of the whole operator
+        nodes, bonds, k, base, top = self._setup(surfaces, width)
+        half, ks, ka = self._folds(nodes, k)
+        outside = np.repeat(nodes.positions[half, 0] > _reach_reference(nodes.positions, k)[0], 2)
+        d = ks - ka
+        d.eliminate_zeros()
+        rows, cols = d.nonzero()
+        assert len(rows) and not (outside[rows] | outside[cols]).any()
+
+    @pytest.mark.parametrize("case", ["clamped", "no-shear", "uy-at-bottom", "ux-at-sides"])
+    def test_fold_verdicts_match_explicit_factors(self, case):
+        # the ramp refuses a set-up exactly when a direct factor of the
+        # explicit P^T K P or Q^T K Q does, and names the antisymmetric
+        # fields exactly when the one of Q^T K Q does
+        if case == "no-shear":
+            nodes, bonds, k, base, top = TestMultifrontalCholesky()._no_shear()
+        else:
+            nodes, bonds, k, base, top = self._setup()
+        x, y = nodes.positions.T
+        if case == "uy-at-bottom":
+            base = BCSet(nodes.n).prescribe(np.flatnonzero(y == y.min()), uy=0.0)
+        elif case == "ux-at-sides":
+            base = BCSet(nodes.n).prescribe(np.flatnonzero(np.abs(x) == x.max()), ux=0.0)
+        half, ks, ka = self._folds(nodes, k)
+        axis = (x[half] == 0)[:, None]
+
+        def refused(kf, held):
+            try:
+                RampSolver(kf, BCSet(len(half), base.prescribed_mask[half] | held),
+                           nodes.positions[half])
+            except SolverFailure as exc:
+                assert "not positive definite" in str(exc)
+                return True
+            return False
+
+        sym, anti = refused(ks, axis & [True, False]), refused(ka, axis & [False, True])
+        try:
+            pd_core.run_indentation(nodes.positions, k, base, top, 3.0,
+                                    np.array([0.1, 0.2]), bonds=bonds)
+            message = None
+        except SolverFailure as exc:
+            message = str(exc)
+        assert (message is not None) == (sym or anti)
+        assert (message is not None and "not positive definite" in message) == (sym or anti)
+        assert (message is not None and message.startswith(
+            "on fields antisymmetric about x = 0, ")) == anti
+        assert (case == "clamped") == (not sym and not anti)
 
     def _asymmetric(self, what):
         nodes, bonds, k, base, top = self._setup()
