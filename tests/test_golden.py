@@ -98,29 +98,29 @@ GOLDEN = {
     "indent-plain": {
         "exit": 0,
         "csv": {
-            "corrected/curve.csv": "0fdf1b934cbcda0c3d04de27eddf791eac7488b05fddf66ef54bc4d0f820b9be",
-            "corrected/fields.csv": "7c411dcec000bc74040c4526f1480e2abec946645a705ef3b49cefadac2b2852",
-            "fem/curve.csv": "2bb1d3894dd12a81e450246902dee8f7e8f1691f54162defe803274bac5309e4",
-            "fem/fields.csv": "907dbe305cd74a1e704b65b8066b9c9aeac96c4b2bbbb835e5746ab4fce89b76",
-            "uncorrected/curve.csv": "44df2866a40d95a950afe09a357b834434a67f23b61956d96f4644e6de4c7199",
-            "uncorrected/fields.csv": "fd3e72e42fb23db9a04ee80e7dea98204407cb3b6e69688cbd2e1b20f41700c7",
+            "corrected/curve.csv": "758459300e304e617a0b0d9950ed1a507c2553175bcc3ab48ee800ee91818101",
+            "corrected/fields.csv": "bb1f58e82286675a101d072a87d0f4bebd0bb7c535105008de4f6a3ce9ac12f9",
+            "fem/curve.csv": "e9bfe9450235316bc00212fd874fd4c18a1e54044a7e33d94a5d7a83d664cce4",
+            "fem/fields.csv": "571276ffdc7fd2ea5276442836d0f8efb07d7e3b2b58666c062d62f798264563",
+            "uncorrected/curve.csv": "6b652ac2109442d86b6d61bcadd9cc3b21eb601cd664045fd4268eda689b376e",
+            "uncorrected/fields.csv": "89c8aa8d5584e79cf168f2bcb1626e92127ec383485eb63229c539f798ff0c34",
         },
-        "metrics": "4f9b5db244bc9ec70d0dc31eef9178b6c07e9a262478586b26e5cf78f2985d49",
+        "metrics": "69db944767cf954c7a992396fec6ba25c48eadd0c99b91714e8f68e4b155d455",
         "artifacts": "97278f3a2fd0a14e07cbe35b0f4c452707a1f18af865014837b5e9670b8e34fa",
     },
     "indent-dump": {
         "exit": 0,
         "csv": {
             "corrected/bonds.csv": "5db5a96c0da48b30ebd08edd824198abc7b8eb170253605c92148f7692fb7d57",
-            "corrected/curve.csv": "0fdf1b934cbcda0c3d04de27eddf791eac7488b05fddf66ef54bc4d0f820b9be",
-            "corrected/fields.csv": "7c411dcec000bc74040c4526f1480e2abec946645a705ef3b49cefadac2b2852",
-            "fem/curve.csv": "2bb1d3894dd12a81e450246902dee8f7e8f1691f54162defe803274bac5309e4",
-            "fem/fields.csv": "907dbe305cd74a1e704b65b8066b9c9aeac96c4b2bbbb835e5746ab4fce89b76",
+            "corrected/curve.csv": "758459300e304e617a0b0d9950ed1a507c2553175bcc3ab48ee800ee91818101",
+            "corrected/fields.csv": "bb1f58e82286675a101d072a87d0f4bebd0bb7c535105008de4f6a3ce9ac12f9",
+            "fem/curve.csv": "e9bfe9450235316bc00212fd874fd4c18a1e54044a7e33d94a5d7a83d664cce4",
+            "fem/fields.csv": "571276ffdc7fd2ea5276442836d0f8efb07d7e3b2b58666c062d62f798264563",
             "uncorrected/bonds.csv": "bc8808cc239ad253bc6aff0d6106e73d282b4ed9efa1d44ac96a7f009542399e",
-            "uncorrected/curve.csv": "44df2866a40d95a950afe09a357b834434a67f23b61956d96f4644e6de4c7199",
-            "uncorrected/fields.csv": "fd3e72e42fb23db9a04ee80e7dea98204407cb3b6e69688cbd2e1b20f41700c7",
+            "uncorrected/curve.csv": "6b652ac2109442d86b6d61bcadd9cc3b21eb601cd664045fd4268eda689b376e",
+            "uncorrected/fields.csv": "89c8aa8d5584e79cf168f2bcb1626e92127ec383485eb63229c539f798ff0c34",
         },
-        "metrics": "4f9b5db244bc9ec70d0dc31eef9178b6c07e9a262478586b26e5cf78f2985d49",
+        "metrics": "69db944767cf954c7a992396fec6ba25c48eadd0c99b91714e8f68e4b155d455",
         "artifacts": "a810fcb22d196a76683fbc1c73f99fa00d5a650d7ebcbfb6dd9528e034e168ac",
     },
     "tension-plain": {
