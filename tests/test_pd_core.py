@@ -975,8 +975,8 @@ class TestIndentationRamp:
                                     np.array([0.1, 0.2]), bonds=bonds)
 
     @staticmethod
-    def _folds(nodes, k):
-        """The half x >= 0's node ids and the explicit ``P^T K P`` and ``Q^T K Q``."""
+    def _maps(nodes):
+        """The half x >= 0's node ids and the explicit maps ``P`` and ``Q``."""
         x = nodes.positions[:, 0]
         half = np.flatnonzero(x >= 0)
         own = np.where(x >= 0, np.arange(nodes.n), pd_core._mirror_map(nodes.positions))
@@ -985,7 +985,28 @@ class TestIndentationRamp:
         # u_x odd and u_y even under P, the other way round under Q
         p, q = (sp.csr_matrix((np.stack(signs, axis=1).ravel(), ij), shape=shape)
                 for signs in ((np.sign(x), np.ones_like(x)), (np.ones_like(x), np.sign(x))))
+        return half, p, q
+
+    @classmethod
+    def _folds(cls, nodes, k):
+        """The half x >= 0's node ids and the explicit ``P^T K P`` and ``Q^T K Q``."""
+        half, p, q = cls._maps(nodes)
         return half, (p.T @ k @ p).tocsr(), (q.T @ k @ q).tocsr()
+
+    @pytest.mark.parametrize("surfaces", ["all", None], ids=["corrected", "uncorrected"])
+    @pytest.mark.parametrize("width", [12, 11.5], ids=["axis-column", "no-axis-column"])
+    def test_half_is_the_explicit_fold(self, width, surfaces):
+        # the half's operator is P^T K P and its loads are P^T f, for loads
+        # odd in u_x and even in u_y
+        nodes, bonds, k, base, top = self._setup(surfaces, width)
+        base.add_load(top, fy=-1.0)
+        base.loads[top, 0] = 0.3 * np.sign(nodes.positions[top, 0])
+        ids, _, ks, half_base = pd_core._mirror_half(nodes.positions, k, base, top)[:4]
+        half, p, _ = self._maps(nodes)
+        ptkp = (p.T @ k @ p).tocsr()
+        assert np.array_equal(ids, half) and ks.shape == ptkp.shape
+        assert abs(ks - ptkp).max() <= 1e-14 * abs(ptkp).max()
+        assert np.array_equal(half_base.loads.ravel(), p.T @ base.loads.ravel())
 
     @pytest.mark.parametrize("surfaces", ["all", None], ids=["corrected", "uncorrected"])
     @pytest.mark.parametrize("width", [12, 11.5], ids=["axis-column", "no-axis-column"])
