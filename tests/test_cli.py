@@ -240,6 +240,8 @@ class TestMainExitCodes:
         ("tension", "variants =\n"),
         ("clamped", "variants =\n"),
         ("indent", "variants =\n"),
+        # no stress to compare against the FEM one
+        ("clamped", "size_x = 2\nsize_y = 2\nspacing = 0.25\nhorizon = 0.75\nstrain = 0\n"),
         # a relative residual of 0 is out of reach, and one of 1 or more is
         # met before any solve
         ("tension", "size_x = 10\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\ntol = 0\n"),
@@ -253,7 +255,7 @@ class TestMainExitCodes:
             "indent-zero-depth", "indent-depth-over-radius", "indent-depth-at-radius",
             "indent-chord-over-block", "indent-off-centre", "nan-spacing", "inf-horizon", "nan-depth",
             "repeated-variant", "tension-no-variant", "clamped-no-variant",
-            "indent-no-variant", "zero-tol", "negative-tol", "unit-tol"])
+            "indent-no-variant", "clamped-zero-strain", "zero-tol", "negative-tol", "unit-tol"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
