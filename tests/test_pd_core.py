@@ -784,31 +784,43 @@ class TestRampSolver:
         with pytest.raises(SolverFailure, match="non-finite contact values"):
             solver.solve(values)
 
+    @staticmethod
+    def _inexact_factor(monkeypatch, symmetric=False):
+        """Scale the rows of the factor's solves by ``W = 1 + 1e-7 w``, one ``w``
+        per size; ``symmetric`` scales the right-hand side's too, ``W A^{-1} W``."""
+        real = pd_core.MultifrontalCholesky.solve
+        scale = {}
+
+        def inexact(self, b):
+            w = scale.setdefault(len(b), 1 + 1e-7 * np.random.default_rng(4).uniform(
+                -1, 1, len(b)))
+            w = w if np.ndim(b) == 1 else w[:, None]
+            return real(self, w * b if symmetric else b) * w
+
+        monkeypatch.setattr(pd_core.MultifrontalCholesky, "solve", inexact)
+
+    @staticmethod
+    def _loaded(tol):
+        """A solver of a block clamped at its bottom, loaded at two top nodes,
+        its ``K_ff`` and the other top nodes."""
+        dom, nodes, bonds, m, corr, k = small_model(nx=10, ny=9)
+        base = BCSet(nodes.n)
+        base.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
+        top = nodes.on_side(dom, "+y")
+        base.add_load(top[:2], fx=0.3, fy=-1.0)
+        solver = RampSolver(k, base, nodes.positions, tol=tol)
+        return solver, k.tocsr()[solver.free][:, solver.free], top[2:]
+
     @pytest.mark.parametrize("factor", ["exact", "inexact"])
     def test_residual_is_the_sparse_products(self, factor, monkeypatch):
         # a step's first residual is r0 + (K C) lam, not rhs - K u; an inexact
         # factor (rows scaled by 1 + 1e-7 w) leaves residuals far above the
         # rounding, which the tolerance then checks to five digits
         if factor == "inexact":
-            real = pd_core.MultifrontalCholesky.solve
-            scale = {}
-
-            def inexact(self, b):
-                x = real(self, b)
-                w = scale.setdefault(len(x), 1 + 1e-7 * np.random.default_rng(4).uniform(
-                    -1, 1, len(x)))
-                return x * (w if x.ndim == 1 else w[:, None])
-
-            monkeypatch.setattr(pd_core.MultifrontalCholesky, "solve", inexact)
-        dom, nodes, bonds, m, corr, k = small_model(nx=10, ny=9)
-        base = BCSet(nodes.n)
-        base.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
-        top = nodes.on_side(dom, "+y")
-        base.add_load(top[:2], fx=0.3, fy=-1.0)
-        solver = RampSolver(k, base, nodes.positions, tol=1e-4)
-        kff = k.tocsr()[solver.free][:, solver.free]
+            self._inexact_factor(monkeypatch)
+        solver, kff, top = self._loaded(1e-4)
         rng, held = np.random.default_rng(6), []
-        for batch in np.array_split(top[2:], 4):  # the column buffers grow twice
+        for batch in np.array_split(top, 4):  # the column buffers grow twice
             dofs = np.stack([2 * batch, 2 * batch + 1], axis=1).ravel()
             solver.add_constraints(dofs)
             held += dofs.tolist()
@@ -819,6 +831,24 @@ class TestRampSolver:
             assert diag.iterations == 0
             assert abs(diag.residual - direct) <= 1e-12
             assert (direct > 1e-9) == (factor == "inexact")
+
+    def test_refinement_round_converges(self, monkeypatch):
+        # the inexact factor's first residual is about 1e-6, above tol: the
+        # refinement rounds bring it below, and each round's residual is the
+        # sparse one of the field it returns; a symmetric perturbation keeps
+        # the Gram matrix symmetric, so the contacts hold to rounding
+        self._inexact_factor(monkeypatch, symmetric=True)
+        solver, kff, top = self._loaded(1e-12)
+        dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
+        solver.add_constraints(dofs)
+        values = np.random.default_rng(6).uniform(-0.01, 0.01, len(dofs))
+        u, diag = solver.solve(values)
+        r = solver.rhs - kff @ u.ravel()[solver.free]
+        r[solver.local[dofs]] = 0.0
+        direct = np.linalg.norm(r) / np.linalg.norm(solver.rhs)
+        assert diag.iterations >= 1 and diag.residual <= 1e-12
+        assert diag.residual == pytest.approx(direct, rel=1e-10, abs=0)
+        np.testing.assert_allclose(u.ravel()[dofs], values, rtol=1e-12, atol=0)
 
 
 def full_ramp(positions, k, base, surface, radius, depths, bonds):
