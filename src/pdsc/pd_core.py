@@ -542,45 +542,6 @@ class InversionScreen:
         return ids[check_bond_inversion(sub, u)]
 
 
-def _factor_free(k: sp.csr_matrix, pres: np.ndarray, positions: np.ndarray, root=None):
-    """The dofs not in ``pres``, ``k``'s block on them and its factor.
-
-    The free dofs are numbered by the :func:`nested_dissection` tree of the
-    nodes at ``positions``, both dofs of a node together, and the block is
-    factored by a :class:`MultifrontalCholesky` on that tree.
-
-    ``root = (strip, reach, kb, held)`` comes from :func:`_mirror_half`: the
-    nodes of the mask ``strip`` are the tree's root, the others keep their
-    dissection by the operator's ``reach``, and the factor decides on the
-    antisymmetric fold ``K_a`` as its twin. ``kb`` holds ``K_a``'s rows of
-    the strip's dofs, ``held`` its held strip dofs. The strip nodes whose
-    held dofs differ between the folds (those on x = 0) are numbered last.
-    """
-    twin = None
-    if root is None:
-        tree = nested_dissection(positions, k)
-    else:
-        strip, reach, kb, held = root
-        rest, band = np.flatnonzero(~strip), np.flatnonzero(strip)
-        tree = [(rest[ids], kids) for ids, kids in _dissect(positions[rest], reach)]
-        differ = (held != pres.reshape(-1, 2)[band]).any(axis=1)
-        order = np.argsort(differ, kind="stable")
-        tree.append((band[order], (len(tree) - 1,)))
-        # K_a's root unknowns: the shared ones in K_s's order, then its own
-        own = ~held[order]
-        rows = np.stack([2 * order, 2 * order + 1], axis=1).ravel()[own.ravel()]
-        cols = np.stack([2 * band[order], 2 * band[order] + 1], axis=1).ravel()[own.ravel()]
-        twin = (kb[rows][:, cols], int(own[~differ[order]].sum()),
-                "on fields antisymmetric about x = 0")
-    nodes = np.concatenate([ids for ids, _ in tree])
-    dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
-    free = dofs[~pres[dofs]]
-    # each block's free dofs are consecutive in this numbering
-    sizes = [(~pres[2 * ids]).sum() + (~pres[2 * ids + 1]).sum() for ids, _ in tree]
-    kff = k[free][:, free]
-    return free, kff, MultifrontalCholesky(kff, sizes, [kids for _, kids in tree], twin)
-
-
 class RampSolver:
     """Repeated solves of one operator under a growing set of point constraints.
 
@@ -598,8 +559,8 @@ class RampSolver:
     :func:`solve_static` and polished by iterative refinement when needed,
     each round's residual taken from the sparse product.
 
-    ``_root`` is :func:`run_indentation`'s alone: the strip of the mirror
-    half that :func:`_factor_free` makes the tree's root.
+    ``_root = (tree, twin)``, the tree and the factor's twin, is
+    :func:`_mirror_half`'s alone.
     """
 
     def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, positions: np.ndarray,
@@ -608,7 +569,14 @@ class RampSolver:
         self.tol = tol
         ndof = k.shape[0]
         pres = base_bcs.prescribed_mask.ravel()
-        self.free, self.kff, self.lu = _factor_free(k, pres, positions, _root)
+        tree, twin = _root or (nested_dissection(positions, k), None)
+        nodes = np.concatenate([ids for ids, _ in tree])
+        dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
+        self.free = dofs[~pres[dofs]]
+        # each block's free dofs are consecutive in this numbering
+        sizes = [(~pres[2 * ids]).sum() + (~pres[2 * ids + 1]).sum() for ids, _ in tree]
+        self.kff = k[self.free][:, self.free]
+        self.lu = MultifrontalCholesky(self.kff, sizes, [kids for _, kids in tree], twin)
         self.local = np.full(ndof, -1, dtype=np.int64)
         self.local[self.free] = np.arange(len(self.free))
         self.u_base = np.zeros(ndof)
@@ -761,38 +729,43 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     and its ``u_x`` flip: ``||R K R^T - K||_F <= 1e-12 ||K||_F``; the base
     set's prescribed dofs map onto themselves, with values and loads odd in
     ``u_x`` and even in ``u_y``; the surface maps onto itself. A failed check
-    raises GeometryError naming it.
+    raises GeometryError naming it. Every fold below is a product of ``K_h``,
+    the half's rows of ``K``, with maps of one signed entry per row: the
+    check's ``R_h K R^T - K_h`` and ``K_s = P^T K P = diag(rowfac) K_h P``.
 
     ``K`` is positive definite on the base set's free dofs only if both
-    ``K_s = P^T K P`` and its antisymmetric fold ``K_a = Q^T K Q`` are, ``Q``
-    keeping ``u_y`` odd and ``u_x`` even. The ramp never meets a field of
-    ``Q``, but a mechanism of the set-up must still raise the factor's
-    SolverFailure "not positive definite" on either side of the fold, as the
-    whole factor did. The folds differ only where both dofs lie in the strip
+    ``K_s`` and its antisymmetric fold ``K_a = Q^T K Q`` are, ``Q`` keeping
+    ``u_y`` odd and ``u_x`` even. The ramp never meets a field of ``Q``, but
+    a mechanism of the set-up must still raise the factor's SolverFailure
+    "not positive definite" on either side of the fold, as the whole factor
+    did. The folds differ only where both dofs lie in the strip
     ``0 <= x <= reach`` of ``K``'s :func:`_operator_reach` (a half entry
     couples node ``i`` to the image of ``j`` only when ``x_i + x_j <=
-    reach``), and in their held dofs on x = 0. So only ``K_a``'s strip rows
-    are folded: ``K_s``'s factor takes the strip as its root front, and the
-    verdict on ``K_a`` is one more dense factor of that root (see
-    :func:`_factor_free`), whose message names the antisymmetric fields.
+    reach``), and in their held dofs on x = 0. So the strip, those nodes
+    last, is the root of ``K_s``'s tree, and only ``K_a``'s block on its root
+    unknowns is folded, ``diag(rowfac_a) K_h[dofs] Q``: the factor's twin,
+    whose message names the antisymmetric fields.
 
     Returns the half's node ids, their mirror images' ids (their own on
     x = 0), ``K_s``, the half's base set (the half's own, plus ``u_x = 0`` on
-    x = 0, with the loads ``P^T f``) and the ``root`` of :func:`_factor_free`.
+    x = 0, with the loads ``P^T f``) and :class:`RampSolver`'s ``_root``.
     """
     n = len(positions)
     mirror = _mirror_map(positions)
     axis, right = mirror == np.arange(n), positions[:, 0] > 0
     ids = np.flatnonzero(right | axis)
-    rdof = np.stack([2 * mirror, 2 * mirror + 1], axis=1).ravel()
     hdof = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
     k = sp.csr_matrix(k)
     reach = _operator_reach(positions, k)
-    hk, rk = k[hdof], k[rdof[hdof]]
+    hk = k[hdof]
+
+    def signed(to, signs, width):  # each node's dofs to those of node ``to``
+        cols = (2 * to[:, None] + [0, 1]).ravel()
+        return sp.csr_matrix((signs.ravel(), (np.arange(2 * n), cols)), shape=(2 * n, width))
+
+    r = signed(mirror, np.tile(_FLIP, n), 2 * n)
     # the half's rows of R K R^T - K; the other rows are their images
-    flip = np.tile(_FLIP, n)
-    d = sp.csr_matrix((rk.data * flip[rk.indices] * np.repeat(flip[hdof], np.diff(rk.indptr)),
-                       rdof[rk.indices], rk.indptr), shape=hk.shape) - hk
+    d = r[hdof] @ k @ r.T - hk
     twice = np.repeat(np.where(axis[ids], 1.0, 2.0), 2)
     asym = np.sqrt(twice @ np.bincount(np.repeat(np.arange(len(hdof)), np.diff(d.indptr)),
                                       d.data ** 2, len(hdof))) / (np.linalg.norm(k.data) or 1.0)
@@ -817,32 +790,37 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
              "surface is not mirror-symmetric")):
         if broken:
             raise GeometryError(f"the indentation {what} about x = 0")
-    src = np.empty(n, dtype=np.int64)
-    src[ids] = np.arange(len(ids))
-    src[~right] = src[mirror[~right]]
+    src = np.searchsorted(ids, np.where(right | axis, np.arange(n), mirror))  # half node
 
-    def fold(flip, rows=None):
-        # the rows of the half dofs ``rows`` (all by default) of P^T K P
-        # (Q^T K Q for the flip -_FLIP): a half row of K P, twice off the
-        # axis; on the axis P has no column for the dof the flip negates, and
-        # the other dof's column takes the row once
+    def fold(flip):
+        # P (Q for the flip -_FLIP), the half's held dofs and the row factors
+        # of P^T K P = diag(rowfac) K_h P: a half row of K P counts twice off
+        # the axis; on the axis P has no column for the dof the flip negates,
+        # and the other dof's column takes the row once
         keep = flip > 0
-        colfac = np.where(axis[:, None], keep, np.where(right[:, None], 1.0, flip))
-        rowfac = np.where(axis[ids, None], keep, 2.0)
-        h, hrow = (hk, rowfac.ravel()) if rows is None else (hk[rows], rowfac.ravel()[rows])
-        kf = sp.csr_matrix((h.data * colfac.ravel()[h.indices]
-                            * np.repeat(hrow, np.diff(h.indptr)),
-                            (2 * src[:, None] + [0, 1]).ravel()[h.indices],
-                            h.indptr.copy()), shape=(h.shape[0], 2 * len(ids)))
-        kf.sum_duplicates()  # in place, indptr too
-        return kf, mask[ids] | (axis[ids, None] & ~keep), rowfac
+        signs = np.where(axis[:, None], keep, np.where(right[:, None], 1.0, flip))
+        return (signed(src, signs, 2 * len(ids)),
+                mask[ids] | (axis[ids, None] & ~keep), np.where(axis[ids, None], keep, 2.0))
 
-    ks, held, rowfac = fold(_FLIP)
+    p, held, rowfac = fold(_FLIP)
+    ks = sp.diags(rowfac.ravel()) @ (hk @ p)
+    ks.sort_indices()  # K_ff's products then sum each row in column order
+    q, held_a, rowfac_a = fold(-_FLIP)
+    # the strip is the root, its nodes whose held dofs differ (on x = 0) last
     strip = positions[ids, 0] <= reach[0]
-    ka, held_a, _ = fold(-_FLIP, np.flatnonzero(np.repeat(strip, 2)))
+    rest, band = np.flatnonzero(~strip), np.flatnonzero(strip)
+    differ = (held[band] != held_a[band]).any(axis=1)
+    band = band[np.argsort(differ, kind="stable")]
+    tree = [(rest[block], kids) for block, kids in _dissect(positions[ids[rest]], reach)]
+    tree.append((band, (len(tree) - 1,)))
+    # K_a's root unknowns: the shared ones in K_s's order, then its own
+    own = ~held_a[band]
+    dofs = (2 * band[:, None] + [0, 1])[own]
+    twin = (sp.diags(rowfac_a.ravel()[dofs]) @ (hk[dofs] @ q)[:, dofs],
+            int(own[:len(band) - differ.sum()].sum()), "on fields antisymmetric about x = 0")
     base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
                  loads[ids] * rowfac)
-    return ids, mirror[ids], ks, base, (strip, reach, ka, held_a[strip])
+    return ids, mirror[ids], ks, base, (tree, twin)
 
 
 def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
