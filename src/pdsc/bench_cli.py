@@ -111,8 +111,7 @@ class ExperimentConfig:
         if self.experiment == "clamped" and self.size_y != self.size_x:
             raise ConfigError("clamped needs a square sheet: size_y must equal size_x")
         if self.experiment == "clamped" and self.strain == 0:
-            raise ConfigError("clamped needs a nonzero strain: its stresses are compared "
-                              "as ratios")
+            raise ConfigError("clamped needs a nonzero strain")
         if self.profile not in material.PROFILE_KINDS:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.calibration not in ("discrete", "continuum"):
