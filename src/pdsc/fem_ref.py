@@ -51,12 +51,13 @@ class FEMesh:
         pts = spec.points()
         if not np.all(domain.contains(pts, tol=1e-9 * spec.spacing)):
             raise GeometryError("grid extends outside the domain")
-        quads = []
-        for iy in range(ny - 1):
-            for ix in range(nx - 1):
-                n0 = iy * nx + ix
-                quads.append([n0, n0 + 1, n0 + nx + 1, n0 + nx])
-        return cls(pts, np.array(quads, dtype=np.int64), spec.spacing)
+        n0 = (nx * np.arange(ny - 1, dtype=np.int64)[:, None] + np.arange(nx - 1)).ravel()
+        return cls(pts, n0[:, None] + [0, 1, nx + 1, nx], spec.spacing)
+
+    @property
+    def element_dofs(self) -> np.ndarray:
+        """(E, 8) dofs of each element's corners, ``u_x`` and ``u_y`` interleaved."""
+        return (2 * self.elements[:, :, None] + [0, 1]).reshape(-1, 8)
 
 
 _GAUSS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
@@ -87,16 +88,16 @@ def element_stiffness(spacing: float, law: PlaneStressLaw) -> np.ndarray:
 
 
 def fem_assemble(mesh: FEMesh, law: PlaneStressLaw) -> sp.csr_matrix:
-    """Global stiffness (2N x 2N CSR); passes the constant-strain patch test."""
+    """Global stiffness (2N x 2N CSR), no exact zero stored; passes the patch test."""
     ke = element_stiffness(mesh.spacing, law)
-    dofs = np.empty((len(mesh.elements), 8), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.elements
-    dofs[:, 1::2] = 2 * mesh.elements + 1
+    dofs = mesh.element_dofs
     rows = np.repeat(dofs, 8, axis=1).ravel()
     cols = np.tile(dofs, (1, 8)).ravel()
     data = np.tile(ke.ravel(), len(mesh.elements))
     n = 2 * len(mesh.nodes)
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    k = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    k.eliminate_zeros()
+    return k
 
 
 def fem_energy_density(mesh: FEMesh, law: PlaneStressLaw, u: np.ndarray) -> np.ndarray:
@@ -106,10 +107,7 @@ def fem_energy_density(mesh: FEMesh, law: PlaneStressLaw, u: np.ndarray) -> np.n
     reproduces 1/2 u^T K u identically.
     """
     ke = element_stiffness(mesh.spacing, law)
-    dofs = np.empty((len(mesh.elements), 8), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.elements
-    dofs[:, 1::2] = 2 * mesh.elements + 1
-    ue = u.ravel()[dofs]
+    ue = u.ravel()[mesh.element_dofs]
     elem_energy = 0.5 * np.einsum("ea,ab,eb->e", ue, ke, ue)
     vol = mesh.spacing**2 * law.thickness
     density = elem_energy / vol

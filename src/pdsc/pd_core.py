@@ -203,21 +203,17 @@ def _bisect(p: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x < cut - 0.5 * reach[axis], x >= cut + 0.5 * reach[axis]
 
 
-def nested_dissection(positions: np.ndarray, k: sp.spmatrix) -> list[tuple]:
-    """Separator tree of a geometric nested dissection of ``k`` (George, 1973).
+def nested_dissection(positions: np.ndarray, reach: np.ndarray) -> list[tuple]:
+    """Separator tree of a geometric nested dissection (George, 1973).
 
     Each block is ``(ids, children)``: the nodes are bisected recursively by
-    :func:`_bisect`, a block keeps the separator's node ids and has the
-    indices of its halves' blocks as children, so no stored entry of ``k``
-    couples them. Blocks of at most ``_ND_LEAF`` nodes, or that cannot be
-    split, are leaves with no children. The list is in postorder, each block
-    after its children: its ids, concatenated, are an elimination order.
+    :func:`_bisect` with the operator's :func:`_operator_reach` ``reach``, a
+    block keeps the separator's node ids and has the indices of its halves'
+    blocks as children, so no stored entry couples them. Blocks of at most
+    ``_ND_LEAF`` nodes, or that cannot be split, are leaves with no children.
+    The list is in postorder, each block after its children: its ids,
+    concatenated, are an elimination order.
     """
-    return _dissect(positions, _operator_reach(positions, k))
-
-
-def _dissect(positions: np.ndarray, reach: np.ndarray) -> list[tuple]:
-    """:func:`nested_dissection` by the per-axis ``reach`` of the operator."""
     tree = []
 
     def split(ids) -> int:
@@ -569,7 +565,7 @@ class RampSolver:
         self.tol = tol
         ndof = k.shape[0]
         pres = base_bcs.prescribed_mask.ravel()
-        tree, twin = _root or (nested_dissection(positions, k), None)
+        tree, twin = _root or (nested_dissection(positions, _operator_reach(positions, k)), None)
         nodes = np.concatenate([ids for ids, _ in tree])
         dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
         self.free = dofs[~pres[dofs]]
@@ -603,8 +599,10 @@ class RampSolver:
     def add_constraints(self, dofs) -> None:
         """Register additional constrained dofs (must be base-free).
 
-        Every dof is checked and the new Gram matrix factored before any
-        state changes; repeated or already constrained dofs count once.
+        Every dof is checked and the new Gram matrix, gathered from the column
+        buffer, factored before any state a caller sees changes; repeated or
+        already constrained dofs count once. Buffer columns past
+        ``len(cdofs)`` are scratch, so a refused batch changes nothing.
         """
         local = self.local[np.asarray(dofs, dtype=int)]
         if np.any(local < 0):
@@ -616,27 +614,21 @@ class RampSolver:
         n, m = len(self.cdofs), len(new)
         e = np.zeros((len(self.free), m))
         e[new, np.arange(m)] = 1.0
-        cols = self.lu.solve(e)
-        gram = np.empty((n + m, n + m))
-        gram[:n, :n] = self.gram
-        gram[:n, n:] = cols[self.cdofs]
-        gram[n:, :n] = self.cols[new]
-        gram[n:, n:] = cols[new]
+        if n + m > self._cols.shape[1]:
+            width, old = max(2 * self._cols.shape[1], n + m), (self._cols, self._kcols)
+            self._cols, self._kcols = (np.empty((len(self.free), width), order="F")
+                                       for _ in old)
+            self._cols[:, :n], self._kcols[:, :n] = (a[:, :n] for a in old)
+        cols = self._cols[:, n:n + m] = self.lu.solve(e)
+        gram = self._cols[self.cdofs + new, :n + m]
         try:
             factor = cho_factor(gram, check_finite=False)
         except LinAlgError as exc:
             raise SolverFailure(f"the Gram matrix of {n + m} contact dofs is not "
                                 "positive definite") from exc
         # column by column: scipy's product with a few columns at once is slower
-        kcols = np.column_stack([self.kff @ c for c in cols.T])
+        self._kcols[:, n:n + m] = np.column_stack([self.kff @ c for c in cols.T])
         self.gram, self._gram_factor = gram, factor
-        if n + m > self._cols.shape[1]:
-            width, old = max(2 * self._cols.shape[1], n + m), (self._cols, self._kcols)
-            self._cols, self._kcols = (np.empty((len(self.free), width), order="F")
-                                       for _ in old)
-            self._cols[:, :n], self._kcols[:, :n] = (a[:, :n] for a in old)
-        self._cols[:, n:n + m] = cols
-        self._kcols[:, n:n + m] = kcols
         self.cdofs += new
 
     def solve(self, values: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
@@ -679,7 +671,10 @@ class RampSolver:
 
 @dataclass
 class IndentationResult:
-    """A ramp's converged steps; the punch centre is ``(0, top + radius - depth)``."""
+    """A ramp's converged steps; the punch centre is ``(0, top + radius - depth)``.
+
+    Fields are of the whole lattice, the half's mapped by ``u = P v``.
+    """
 
     depths: np.ndarray               # converged depths (mm)
     forces: np.ndarray               # indenter force per converged depth (N)
@@ -688,7 +683,6 @@ class IndentationResult:
     inverted_bonds: np.ndarray
     u_final: np.ndarray              # last converged displacement field
     stuck_ids: np.ndarray            # stuck nodes of the whole lattice, attach order
-    attach_offsets: np.ndarray       # their offsets from the punch centre (mm)
     stuck_counts: np.ndarray
     iterations: list
 
@@ -746,9 +740,10 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     unknowns is folded, ``diag(rowfac_a) K_h[dofs] Q``: the factor's twin,
     whose message names the antisymmetric fields.
 
-    Returns the half's node ids, their mirror images' ids (their own on
-    x = 0), ``K_s``, the half's base set (the half's own, plus ``u_x = 0`` on
-    x = 0, with the loads ``P^T f``) and :class:`RampSolver`'s ``_root``.
+    Returns the half's node ids, ``src`` (each node's half node, whose field
+    ``P`` gives it, negated in ``u_x`` unless ``ids[src]`` is the node), ``K_s``,
+    the half's base set (the half's own, plus ``u_x = 0`` on x = 0, with the
+    loads ``P^T f``) and :class:`RampSolver`'s ``_root``.
     """
     n = len(positions)
     mirror = _mirror_map(positions)
@@ -811,7 +806,7 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     rest, band = np.flatnonzero(~strip), np.flatnonzero(strip)
     differ = (held[band] != held_a[band]).any(axis=1)
     band = band[np.argsort(differ, kind="stable")]
-    tree = [(rest[block], kids) for block, kids in _dissect(positions[ids[rest]], reach)]
+    tree = [(rest[block], kids) for block, kids in nested_dissection(positions[ids[rest]], reach)]
     tree.append((band, (len(tree) - 1,)))
     # K_a's root unknowns: the shared ones in K_s's order, then its own
     own = ~held_a[band]
@@ -820,7 +815,7 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
             int(own[:len(band) - differ.sum()].sum()), "on fields antisymmetric about x = 0")
     base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
                  loads[ids] * rowfac)
-    return ids, mirror[ids], ks, base, (tree, twin)
+    return ids, src, ks, base, (tree, twin)
 
 
 def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
@@ -842,11 +837,12 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     the half x >= 0 (see :func:`_mirror_half`), contact detection included;
     a stuck node on x = 0 holds only its ``u_y``, its ``u_x = 0`` being in
     the half's base set. The inversion scan, the reaction and the result see
-    the whole field; the result's ``stuck_ids`` hold both nodes of each
-    mirror pair, with mirrored ``attach_offsets``, attached per step in node
-    id order. A mechanism on fields of either parity raises SolverFailure
-    before the first step, from the one factor of ``K_s`` and its root's twin
-    for ``K_a``.
+    the whole field ``v[src] * sign``, with :func:`_mirror_half`'s ``src``
+    and ``sign`` its ``u_x`` flip; a half node is paired where two nodes map
+    to it, and the result's ``stuck_ids`` are the nodes whose ``src`` is
+    stuck, attached per step in node id order. A mechanism on fields of
+    either parity raises SolverFailure before the first step, from the one
+    factor of ``K_s`` and its root's twin for ``K_a``.
 
     The scan goes through an :class:`InversionScreen` built once per ramp: it
     hands :func:`check_bond_inversion` only the bonds whose cell pair's
@@ -854,8 +850,9 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     """
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
-    ids, image, ks, base, root = _mirror_half(positions, k, base_bcs, surface_ids)
-    half, pair = positions[ids], image != ids
+    ids, src, ks, base, root = _mirror_half(positions, k, base_bcs, surface_ids)
+    half, pair = positions[ids], np.bincount(src, minlength=len(ids)) == 2
+    sign = np.where((ids[src] != np.arange(len(src)))[:, None], _FLIP, 1.0)
     solver = RampSolver(ks, base, half, tol=tol, _root=root)
     del ks, root  # the solver keeps K_s's free block
     screen = InversionScreen(positions, bonds) if bonds is not None else None
@@ -863,58 +860,45 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     u, v = np.zeros_like(positions), np.zeros_like(half)
     stuck, offsets = np.empty(0, dtype=int), np.empty((0, 2))  # on the half
     held = np.empty((0, 2), dtype=bool)  # their constrained dofs
-    stuck_ids, attach_offsets = np.empty(0, dtype=int), np.empty((0, 2))  # whole block
+    stuck_ids = np.empty(0, dtype=int)  # whole block
     out_depths, out_forces, out_stuck, iters = [], [], [], []
-    failed = False
     failure_depth = None
     inverted = np.empty(0, dtype=int)
     for depth in np.asarray(depths, dtype=float):
         center = np.array([0.0, top_y + radius - float(depth)])
         # detect new contacts from the previously converged configuration
         candidates = np.setdiff1d(surface, stuck)
-        dist = np.linalg.norm(half[candidates] + v[candidates] - center, axis=1)
-        newly = candidates[dist < radius * (1 - 1e-12)]
+        rel = half[candidates] + v[candidates] - center
+        dist = np.linalg.norm(rel, axis=1)
+        hit = dist < radius * (1 - 1e-12)
+        newly = candidates[hit]
         if len(newly) > 0:
-            rel_new = (half[newly] + v[newly]) - center
-            d_new = np.linalg.norm(rel_new, axis=1)
-            new_offsets = rel_new * (radius / d_new)[:, None]
-            mirrored = pair[newly]
-            new_held = np.stack([mirrored, np.ones_like(mirrored)], axis=1)
+            new_held = np.stack([pair[newly], np.ones(len(newly), dtype=bool)], axis=1)
             stuck = np.concatenate([stuck, newly])
-            offsets = np.vstack([offsets, new_offsets])
+            offsets = np.vstack([offsets, rel[hit] * (radius / dist[hit])[:, None]])
             held = np.vstack([held, new_held])
             solver.add_constraints(np.stack([2 * newly, 2 * newly + 1], axis=1)[new_held])
-            full = np.concatenate([ids[newly], image[newly[mirrored]]])
-            order = np.argsort(full)
-            stuck_ids = np.concatenate([stuck_ids, full[order]])
-            attach_offsets = np.vstack([attach_offsets, np.vstack(
-                [new_offsets, new_offsets[mirrored] * _FLIP])[order]])
+            stuck_ids = np.concatenate([stuck_ids, np.flatnonzero(np.isin(src, newly))])
         target = center[None, :] + offsets - half[stuck]
         try:
             v_new, diag = solver.solve(target[held])
         except SolverFailure as exc:
             raise SolverFailure(f"at depth {depth:g} mm: {exc}") from exc
-        u_new = np.empty_like(u)
-        u_new[image] = v_new * _FLIP
-        u_new[ids] = v_new
+        u_new = v_new[src] * sign
         if screen is not None:
             inverted = screen.inverted(u_new)
             if len(inverted) > 0:
-                failed = True
                 failure_depth = float(depth)
                 break
         u, v = u_new, v_new
-        if len(stuck_ids) > 0:
-            # prescribing the stuck nodes leaves the loads the reaction subtracts
-            force = reaction_force(k, u, base_bcs, stuck_ids)[1]
-        else:
-            force = 0.0
+        # prescribing the stuck nodes leaves the loads the reaction subtracts
+        force = reaction_force(k, u, base_bcs, stuck_ids)[1]
         out_depths.append(float(depth))
         out_forces.append(abs(float(force)))
         out_stuck.append(len(stuck_ids))
         iters.append(diag.iterations)
     return IndentationResult(
         depths=np.array(out_depths), forces=np.array(out_forces),
-        failed=failed, failure_depth=failure_depth, inverted_bonds=inverted,
-        u_final=u, stuck_ids=stuck_ids, attach_offsets=attach_offsets,
+        failed=failure_depth is not None, failure_depth=failure_depth,
+        inverted_bonds=inverted, u_final=u, stuck_ids=stuck_ids,
         stuck_counts=np.array(out_stuck, dtype=int), iterations=iters)

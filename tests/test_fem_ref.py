@@ -68,6 +68,12 @@ class TestPatch:
         assert abs(f[0] + f[6] + sig[0] * 1.0) < 1e-12 * E
         assert abs(f.sum()) < 1e-12 * E
 
+    def test_no_stored_zero(self):
+        # interior entries whose element contributions cancel are dropped
+        dom, mesh = make_mesh(4, 3, 0.5)
+        k = fem_assemble(mesh, PlaneStressLaw(E))
+        assert k.nnz and not (k.data == 0.0).any()
+
     def test_operator_symmetric_psd(self):
         dom, mesh = make_mesh(3, 2, 0.5)
         k = fem_assemble(mesh, PlaneStressLaw(E))

@@ -331,6 +331,13 @@ class TestReactions:
         full = (k @ u.ravel() - bcs.loads.ravel()).reshape(-1, 2)[ids].sum(axis=0)
         assert np.array_equal(pd_core.reaction_force(k, u, bcs, ids), full)
 
+    def test_empty_node_list_is_zero(self):
+        # the indentation ramp takes the force of an empty stuck set from it
+        positions, k = operator("bonds")
+        u = np.ones_like(positions)
+        r = pd_core.reaction_force(k, u, BCSet(len(positions)), np.empty(0, dtype=int))
+        assert r.tolist() == [0.0, 0.0]
+
 
 class TestBondInversion:
     def test_small_strain_clean(self):
@@ -481,7 +488,7 @@ class TestNestedDissection:
     @pytest.mark.parametrize("kind", ["bonds", "q4"])
     def test_order_is_a_permutation(self, kind):
         positions, k = operator(kind)
-        tree = pd_core.nested_dissection(positions, k)
+        tree = pd_core.nested_dissection(positions, pd_core._operator_reach(positions, k))
         order = np.concatenate([ids for ids, _ in tree])
         assert np.array_equal(np.sort(order), np.arange(len(positions)))
         # every block follows its children, and the root is last
@@ -506,7 +513,7 @@ class TestNestedDissection:
         monkeypatch.setattr(pd_core, "_ND_LEAF", 12)
         positions, k = operator(kind)
         k = k.tocsr()
-        tree = pd_core.nested_dissection(positions, k)
+        tree = pd_core.nested_dissection(positions, pd_core._operator_reach(positions, k))
         split = [(ids, kids) for ids, kids in tree if kids]
         assert len(split) >= 4
         for ids, kids in split:
@@ -526,7 +533,7 @@ class TestMultifrontalCholesky:
         if whole_block:
             # a separator below the root has no unknowns left, so its front
             # only passes its children's updates on
-            tree = pd_core.nested_dissection(positions, k)
+            tree = pd_core.nested_dissection(positions, pd_core._operator_reach(positions, k))
             base.prescribe(next(ids for ids, kids in tree[:-1] if kids), ux=0.0, uy=0.0)
         solver = RampSolver(k, base, positions)
         if whole_block:
@@ -854,8 +861,8 @@ class TestRampSolver:
 def full_ramp(positions, k, base, surface, radius, depths, bonds):
     """The indentation ramp solved on the whole lattice, as a reference.
 
-    Returns the forces and stuck counts per converged depth, the stuck ids and
-    offsets in attach order and the inverted bonds of the aborting step.
+    Returns the forces and stuck counts per converged depth, the stuck ids in
+    attach order and the inverted bonds of the aborting step.
     """
     solver = RampSolver(k, base, positions)
     top = positions[surface, 1].max()
@@ -878,7 +885,7 @@ def full_ramp(positions, k, base, surface, radius, depths, bonds):
         u = u_new
         forces.append(abs(pd_core.reaction_force(k, u, base, stuck)[1]))
         counts.append(len(stuck))
-    return np.array(forces), np.array(counts), stuck, offsets, inverted
+    return np.array(forces), np.array(counts), stuck, inverted
 
 
 class TestIndentationRamp:
@@ -921,8 +928,6 @@ class TestIndentationRamp:
         depths = np.linspace(0.05, 0.6, 12)
         res = pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
                                       depths, bonds=bonds)
-        radii = np.linalg.norm(res.attach_offsets, axis=1)
-        assert np.allclose(radii, 4.0, rtol=1e-12)
         # stuck nodes track the indenter rigidly in the final state
         center = np.array([0.0, nodes.positions[top, 1].max() + 4.0 - res.depths[-1]])
         final = nodes.positions[res.stuck_ids] + res.u_final[res.stuck_ids]
@@ -962,13 +967,12 @@ class TestIndentationRamp:
         depths = np.linspace(0.1, 1.6, 16)
         res = pd_core.run_indentation(nodes.positions, k, base, top, 4.0, depths,
                                       bonds=bonds)
-        forces, counts, stuck, offsets, inverted = full_ramp(
+        forces, counts, stuck, inverted = full_ramp(
             nodes.positions, k, base, top, 4.0, depths, bonds)
         assert res.failed == (surfaces is None) == (len(inverted) > 0)
         np.testing.assert_allclose(res.forces, forces, rtol=1e-10, atol=0)
         assert np.array_equal(res.stuck_counts, counts)
         assert np.array_equal(res.stuck_ids, stuck)
-        np.testing.assert_allclose(res.attach_offsets, offsets, rtol=0, atol=1e-12)
         assert np.array_equal(res.inverted_bonds, inverted)
 
     @pytest.mark.parametrize("held", ["uy-at-bottom", "ux-at-sides"])
@@ -1037,6 +1041,22 @@ class TestIndentationRamp:
         assert np.array_equal(ids, half) and ks.shape == ptkp.shape
         assert abs(ks - ptkp).max() <= 1e-14 * abs(ptkp).max()
         assert np.array_equal(half_base.loads.ravel(), p.T @ base.loads.ravel())
+
+    @pytest.mark.parametrize("surfaces", ["all", None], ids=["corrected", "uncorrected"])
+    @pytest.mark.parametrize("width", [12, 11.5], ids=["axis-column", "no-axis-column"])
+    def test_src_is_the_column_of_p(self, width, surfaces):
+        # the ramp's half-to-whole map: every nonzero of P's row lies in the
+        # columns of src, and two nodes map to a half node exactly off x = 0
+        nodes, bonds, k, base, top = self._setup(surfaces, width)
+        ids, src = pd_core._mirror_half(nodes.positions, k, base, top)[:2]
+        half, p, _ = self._maps(nodes)
+        p.eliminate_zeros()  # the u_x rows on x = 0
+        rows, cols = p.nonzero()
+        assert np.array_equal(ids, half)
+        assert np.array_equal(cols // 2, src[rows // 2])
+        assert np.array_equal(np.unique(rows // 2), np.arange(nodes.n))
+        assert np.array_equal(np.bincount(src, minlength=len(ids)) == 2,
+                              nodes.positions[ids, 0] != 0)
 
     @pytest.mark.parametrize("surfaces", ["all", None], ids=["corrected", "uncorrected"])
     @pytest.mark.parametrize("width", [12, 11.5], ids=["axis-column", "no-axis-column"])
