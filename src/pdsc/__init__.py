@@ -9,11 +9,10 @@ bench_cli (experiment harness).
 from .geometry import (
     Domain, GridSpec, NodeSet, BondTable, GeometryError,
     build_grid, add_virtual_layers, build_bonds,
-    ray_boundary_distance, truncated_length,
 )
 from .material import (
     ElasticParams, HookeTensor, MicromodulusProfile, MaterialModel,
-    CorrectionField, calibrate_bulk, correction_factor, correct_bonds,
+    CorrectionField, calibrate_bulk, correct_bonds,
     hooke_plane_stress, discrete_hooke, effective_constants,
 )
 from .pd_core import (

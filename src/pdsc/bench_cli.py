@@ -254,14 +254,13 @@ def write_stress_csv(path, rows) -> None:
 
 
 def _edge_weights(coords: np.ndarray) -> np.ndarray:
-    """Tributary lengths of sorted nodes along an edge (trapezoidal rule)."""
-    w = np.zeros(len(coords))
-    if len(coords) == 1:
-        return w  # a single node cannot carry a line load consistently
-    w[1:-1] = 0.5 * (coords[2:] - coords[:-2])
-    w[0] = 0.5 * (coords[1] - coords[0])
-    w[-1] = 0.5 * (coords[-1] - coords[-2])
-    return w
+    """Tributary lengths of sorted nodes along an edge (trapezoidal rule).
+
+    Each end is padded with its own coordinate, so a lone node, which cannot
+    carry a line load consistently, gets weight 0.
+    """
+    ext = np.concatenate([coords[:1], coords, coords[-1:]])
+    return 0.5 * (ext[2:] - ext[:-2])
 
 
 def edge_traction_loads(bcs: BCSet, node_ids: np.ndarray, positions: np.ndarray,

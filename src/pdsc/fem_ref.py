@@ -111,9 +111,7 @@ def fem_energy_density(mesh: FEMesh, law: PlaneStressLaw, u: np.ndarray) -> np.n
     elem_energy = 0.5 * np.einsum("ea,ab,eb->e", ue, ke, ue)
     vol = mesh.spacing**2 * law.thickness
     density = elem_energy / vol
-    w = np.zeros(len(mesh.nodes))
-    count = np.zeros(len(mesh.nodes))
-    for corner in range(4):
-        np.add.at(w, mesh.elements[:, corner], density)
-        np.add.at(count, mesh.elements[:, corner], 1.0)
-    return w / np.maximum(count, 1.0)
+    n = len(mesh.nodes)
+    corners = mesh.elements.T.ravel()
+    w = np.bincount(corners, np.tile(density, 4), n)
+    return w / np.maximum(np.bincount(corners, minlength=n), 1.0)

@@ -369,34 +369,36 @@ def rays_boundary_distance(origins: np.ndarray, directions: np.ndarray,
     Rays that never cross an active edge get +inf. Crossings closer than
     ``min_dist`` are ignored so a ray starting exactly on the boundary does
     not report itself.
+
+    One pass visits every edge once. Each edge's ``cross(v - o, e)`` is
+    :meth:`Domain.contains`' ``cross(e, o - v)`` bit for bit, so it decides
+    containment against that test's tolerance, and on an active edge it is
+    also the crossing's numerator.
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    diameter = domain.diameter()
     if min_dist is None:
-        min_dist = 1e-9 * domain.diameter()
-    if not np.all(domain.contains(origins)):
-        raise GeometryError("ray origin lies outside the domain")
-    starts = domain.vertices
-    vecs = domain.edge_vectors()
-    if edge_indices is None:
-        edge_indices = np.arange(len(starts))
+        min_dist = 1e-9 * diameter
+    active = np.zeros(len(domain.vertices), dtype=bool)
+    active[slice(None) if edge_indices is None else np.asarray(edge_indices, dtype=int)] = True
+    inside = np.ones(len(origins), dtype=bool)
     best = np.full(len(origins), np.inf)
-    for k in np.asarray(edge_indices, dtype=int):
-        v, e = starts[k], vecs[k]
-        denom = _cross2(directions, np.broadcast_to(e, directions.shape))
+    for v, e, cast in zip(domain.vertices, domain.edge_vectors(), active):
         w = v - origins
+        num = _cross2(w, np.broadcast_to(e, w.shape))
+        inside &= num >= -1e-12 * diameter
+        if not cast:
+            continue
+        denom = _cross2(directions, np.broadcast_to(e, directions.shape))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a = _cross2(w, np.broadcast_to(e, w.shape)) / denom
+            a = num / denom
             s = _cross2(w, directions) / denom
         ok = (np.abs(denom) > 1e-15) & (a > min_dist) & (s >= -1e-10) & (s <= 1 + 1e-10)
         best = np.where(ok & (a < best), a, best)
+    if not inside.all():
+        raise GeometryError("ray origin lies outside the domain")
     return best
-
-
-def ray_boundary_distance(x, e, domain: Domain) -> float:
-    """Scalar convenience wrapper around :func:`rays_boundary_distance`."""
-    return float(rays_boundary_distance(np.asarray(x, float)[None, :],
-                                        np.asarray(e, float)[None, :], domain)[0])
 
 
 def truncated_lengths(origins, directions, domain: Domain, horizon: float,
@@ -405,11 +407,6 @@ def truncated_lengths(origins, directions, domain: Domain, horizon: float,
     a = rays_boundary_distance(origins, directions, domain, edge_indices,
                                min_dist=1e-9 * horizon)
     return np.minimum(a, horizon)
-
-
-def truncated_length(x, e, domain: Domain, horizon: float) -> float:
-    return float(truncated_lengths(np.asarray(x, float)[None, :],
-                                   np.asarray(e, float)[None, :], domain, horizon)[0])
 
 
 # rows joined per write: bounds the row text of million-row tables

@@ -215,15 +215,6 @@ def correction_factors(points: np.ndarray, directions: np.ndarray, domain: Domai
     return full / profile.radial_moment(d, horizon)
 
 
-def correction_factor(x, e, domain: Domain, horizon: float,
-                      profile_kind: str = "constant") -> float:
-    """Scalar wrapper: phi for a single point and unit direction."""
-    profile = MicromodulusProfile(profile_kind)
-    return float(correction_factors(np.asarray(x, float)[None, :],
-                                    np.asarray(e, float)[None, :],
-                                    domain, horizon, profile)[0])
-
-
 @dataclass
 class CorrectionField:
     """Per-bond endpoint factors and the resulting symmetric coefficient.

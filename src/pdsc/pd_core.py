@@ -542,8 +542,9 @@ class RampSolver:
     """Repeated solves of one operator under a growing set of point constraints.
 
     The stiffness is factorized once over the base free set by a
-    :class:`MultifrontalCholesky` on the :func:`nested_dissection` tree of
-    the nodes at ``positions`` (both dofs of a node together). Later
+    :class:`MultifrontalCholesky` on the elimination ``tree``, a list of
+    ``(node ids, child blocks)`` like :func:`nested_dissection`'s (both dofs
+    of a node together), with ``twin`` the factor's optional twin. Later
     constraints (the stick-contact set) are enforced through a bordered Schur
     complement: each :meth:`add_constraints` call backsolves all of its new
     dofs in one multi-column solve, whose forward sweep visits only the fronts
@@ -554,18 +555,14 @@ class RampSolver:
     solution; it is verified against the same contract as
     :func:`solve_static` and polished by iterative refinement when needed,
     each round's residual taken from the sparse product.
-
-    ``_root = (tree, twin)``, the tree and the factor's twin, is
-    :func:`_mirror_half`'s alone.
     """
 
-    def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, positions: np.ndarray,
-                 tol: float = 1e-10, *, _root=None):
+    def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, tree: list[tuple],
+                 twin=None, tol: float = 1e-10):
         base_bcs.validate()
         self.tol = tol
         ndof = k.shape[0]
         pres = base_bcs.prescribed_mask.ravel()
-        tree, twin = _root or (nested_dissection(positions, _operator_reach(positions, k)), None)
         nodes = np.concatenate([ids for ids, _ in tree])
         dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
         self.free = dofs[~pres[dofs]]
@@ -743,7 +740,7 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     Returns the half's node ids, ``src`` (each node's half node, whose field
     ``P`` gives it, negated in ``u_x`` unless ``ids[src]`` is the node), ``K_s``,
     the half's base set (the half's own, plus ``u_x = 0`` on x = 0, with the
-    loads ``P^T f``) and :class:`RampSolver`'s ``_root``.
+    loads ``P^T f``), and :class:`RampSolver`'s ``tree`` and ``twin``.
     """
     n = len(positions)
     mirror = _mirror_map(positions)
@@ -815,7 +812,7 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
             int(own[:len(band) - differ.sum()].sum()), "on fields antisymmetric about x = 0")
     base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
                  loads[ids] * rowfac)
-    return ids, src, ks, base, (tree, twin)
+    return ids, src, ks, base, tree, twin
 
 
 def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
@@ -850,11 +847,11 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     """
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
-    ids, src, ks, base, root = _mirror_half(positions, k, base_bcs, surface_ids)
+    ids, src, ks, base, tree, twin = _mirror_half(positions, k, base_bcs, surface_ids)
     half, pair = positions[ids], np.bincount(src, minlength=len(ids)) == 2
     sign = np.where((ids[src] != np.arange(len(src)))[:, None], _FLIP, 1.0)
-    solver = RampSolver(ks, base, half, tol=tol, _root=root)
-    del ks, root  # the solver keeps K_s's free block
+    solver = RampSolver(ks, base, tree, twin, tol=tol)
+    del ks, tree, twin  # the solver keeps K_s's free block
     screen = InversionScreen(positions, bonds) if bonds is not None else None
     surface = np.flatnonzero(np.isin(ids, surface_ids))
     u, v = np.zeros_like(positions), np.zeros_like(half)

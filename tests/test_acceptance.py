@@ -276,12 +276,11 @@ class TestCriterion5CorrectionFactors:
     def test_unit_and_half_depth_values(self):
         sq = Domain.rectangle(100, 100)
         vals = {
-            "phi(d=delta) constant": mat.correction_factor([0, 0], [1, 0], sq, 5.0,
-                                                           "constant"),
-            "phi(d=delta/2) constant": mat.correction_factor([0, 47.5], [0, 1], sq,
-                                                             5.0, "constant"),
-            "phi(d=delta/2) conical": mat.correction_factor([0, 47.5], [0, 1], sq,
-                                                            5.0, "conical"),
+            f"phi(d={d}) {kind}": mat.correction_factors(
+                [x], [e], sq, 5.0, MicromodulusProfile(kind))[0]
+            for d, kind, x, e in (("delta", "constant", [0, 0], [1, 0]),
+                                  ("delta/2", "constant", [0, 47.5], [0, 1]),
+                                  ("delta/2", "conical", [0, 47.5], [0, 1]))
         }
         ok = (vals["phi(d=delta) constant"] == pytest.approx(1.0, rel=1e-12)
               and vals["phi(d=delta/2) constant"] == pytest.approx(8.0, rel=1e-12)

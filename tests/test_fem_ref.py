@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdsc import analytic, fem_ref, pd_core
+from pdsc import analytic, bench_cli, fem_ref, pd_core
 from pdsc.bench_cli import edge_traction_loads
 from pdsc.fem_ref import FEMesh, PlaneStressLaw, fem_assemble, fem_energy_density
 from pdsc.geometry import Domain, GridSpec
@@ -105,6 +105,17 @@ class TestTractionExactness:
         ref = analytic.uniaxial_solution(E, 1 / 3, traction)(mesh.nodes)
         assert np.abs(u - ref).max() < 1e-8 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_edge_weights_are_trapezoidal(self, n):
+        # reference: half the neighbour gap at each end, half the span between
+        # neighbours inside; a lone node carries nothing
+        x = np.sort(np.random.default_rng(n).uniform(-2.0, 2.0, n))
+        ref = np.zeros(n)
+        if n > 1:
+            ref[1:-1] = 0.5 * (x[2:] - x[:-2])
+            ref[0], ref[-1] = 0.5 * (x[1] - x[0]), 0.5 * (x[-1] - x[-2])
+        assert np.array_equal(bench_cli._edge_weights(x), ref)
+
 
 class TestEnergy:
     def test_zero_field(self):
@@ -139,6 +150,20 @@ class TestEnergy:
         total = 0.5 * np.einsum("ea,ab,eb->", ue, ke, ue)
         assert total == pytest.approx(0.5 * u.ravel() @ (k @ u.ravel()), rel=1e-10)
         assert np.all(w >= 0.0)
+
+    def test_nodal_average_matches_corner_loop(self):
+        # reference: each corner's densities added element by element, in order
+        dom, mesh = make_mesh(6, 4, 0.5)
+        law = PlaneStressLaw(E)
+        u = np.random.default_rng(5).normal(size=(len(mesh.nodes), 2)) * 1e-3
+        ke = fem_ref.element_stiffness(mesh.spacing, law)
+        ue = u.ravel()[mesh.element_dofs]
+        density = 0.5 * np.einsum("ea,ab,eb->e", ue, ke, ue) / (mesh.spacing**2 * law.thickness)
+        total, count = np.zeros(len(mesh.nodes)), np.zeros(len(mesh.nodes))
+        for corner in range(4):
+            np.add.at(total, mesh.elements[:, corner], density)
+            np.add.at(count, mesh.elements[:, corner], 1.0)
+        assert np.array_equal(fem_energy_density(mesh, law, u), total / count)
 
 
 class TestClampedSheet:

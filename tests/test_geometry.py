@@ -193,37 +193,44 @@ class TestBuildBonds:
 class TestRayQueries:
     def test_unit_square_center(self):
         sq = Domain.rectangle(1, 1, center=(0.5, 0.5))
-        assert geo.ray_boundary_distance([0.5, 0.5], [1, 0], sq) == pytest.approx(0.5)
+        assert geo.rays_boundary_distance([[0.5, 0.5]], [[1, 0]], sq)[0] == pytest.approx(0.5)
 
     def test_diagonal_exit(self):
         sq = Domain.rectangle(1, 1, center=(0.5, 0.5))
         e = np.array([1.0, 1.0]) / np.sqrt(2)
-        a = geo.ray_boundary_distance([0.25, 0.25], e, sq)
+        a = geo.rays_boundary_distance([[0.25, 0.25]], [e], sq)[0]
         assert a == pytest.approx(0.75 * np.sqrt(2))
         assert a == pytest.approx(bisect_exit_distance([0.25, 0.25], e, sq), abs=1e-9)
-        a2 = geo.ray_boundary_distance([0.25, 0.5], e, sq)
+        a2 = geo.rays_boundary_distance([[0.25, 0.5]], [e], sq)[0]
         assert a2 == pytest.approx(bisect_exit_distance([0.25, 0.5], e, sq), abs=1e-9)
 
     def test_tangential_along_edge(self):
         # from a boundary point the collinear edge is transparent; the exit is
         # the far perpendicular edge
         sq = Domain.rectangle(1, 1, center=(0.5, 0.5))
-        assert geo.ray_boundary_distance([0.2, 0.0], [1, 0], sq) == pytest.approx(0.8)
+        assert geo.rays_boundary_distance([[0.2, 0.0]], [[1, 0]], sq)[0] == pytest.approx(0.8)
 
     def test_origin_outside_raises(self):
         sq = Domain.rectangle(1, 1, center=(0.5, 0.5))
         with pytest.raises(GeometryError):
-            geo.ray_boundary_distance([2.0, 0.5], [1, 0], sq)
+            geo.rays_boundary_distance([[2.0, 0.5]], [[1, 0]], sq)
+
+    def test_origin_beyond_inactive_edge_raises(self):
+        # containment checks every edge, not only the ones that cast crossings
+        dom = Domain.rectangle(8, 6)
+        with pytest.raises(GeometryError, match="ray origin lies outside the domain"):
+            geo.truncated_lengths([[0.0, 3.25]], [[1, 0]], dom, 2.0,
+                                  dom.side_edge_indices(("-x", "+x")))
 
     def test_truncated_length_cases(self):
         sq = Domain.rectangle(10, 10)
         # interior point with full horizon
-        assert geo.truncated_length([0, 0], [1, 0], sq, 2.0) == pytest.approx(2.0)
+        assert geo.truncated_lengths([[0, 0]], [[1, 0]], sq, 2.0)[0] == pytest.approx(2.0)
         # point half a horizon below the top surface, aimed at it
-        assert geo.truncated_length([0, 4.0], [0, 1], sq, 2.0) == pytest.approx(1.0)
+        assert geo.truncated_lengths([[0, 4.0]], [[0, 1]], sq, 2.0)[0] == pytest.approx(1.0)
         # corner aimed along the inward diagonal of a large square
         e = np.array([-1.0, -1.0]) / np.sqrt(2)
-        assert geo.truncated_length([5.0, 5.0], e, sq, 2.0) == pytest.approx(2.0)
+        assert geo.truncated_lengths([[5.0, 5.0]], [e], sq, 2.0)[0] == pytest.approx(2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(px=st.floats(-4.9, 4.9), py=st.floats(-2.4, 2.4),
@@ -231,7 +238,7 @@ class TestRayQueries:
     def test_exit_point_lies_on_boundary(self, px, py, ang):
         dom = Domain.rectangle(10, 5)
         e = np.array([np.cos(ang), np.sin(ang)])
-        a = geo.ray_boundary_distance([px, py], e, dom)
+        a = geo.rays_boundary_distance([[px, py]], [e], dom)[0]
         assert np.isfinite(a) and a > 0
         exit_point = np.array([px, py]) + a * e
         assert dom.boundary_distance(exit_point[None])[0] < 1e-10 * dom.diameter()
@@ -242,7 +249,7 @@ class TestRayQueries:
     def test_agrees_with_bisection_oracle(self, px, py, ang):
         dom = Domain.rectangle(10, 5)
         e = np.array([np.cos(ang), np.sin(ang)])
-        a = geo.ray_boundary_distance([px, py], e, dom)
+        a = geo.rays_boundary_distance([[px, py]], [e], dom)[0]
         assert a == pytest.approx(bisect_exit_distance([px, py], e, dom), abs=1e-8)
 
 

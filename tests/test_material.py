@@ -8,7 +8,7 @@ from pdsc import geometry as geo, material as mat, pd_core
 from pdsc.analytic import AffineField
 from pdsc.geometry import Domain, GridSpec
 from pdsc.material import (ElasticParams, MaterialModel, MicromodulusProfile,
-                           calibrate_bulk, correction_factor, hooke_plane_stress)
+                           calibrate_bulk, correction_factors, hooke_plane_stress)
 
 E = 1000.0
 T = 1.0
@@ -100,19 +100,21 @@ class TestCorrectionFactor:
     def test_full_horizon_is_unit(self):
         sq = Domain.rectangle(100, 100)
         for kind in ("constant", "conical"):
-            assert correction_factor([0, 0], [1, 0], sq, 5.0, kind) == \
-                pytest.approx(1.0, rel=1e-12)
+            phi = correction_factors([[0, 0]], [[1, 0]], sq, 5.0, MicromodulusProfile(kind))
+            assert phi[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_half_depth_constant(self):
         # truncated at half the horizon: (2)^(D+1) = 8 in 2D
         sq = Domain.rectangle(100, 100)
-        phi = correction_factor([0, 47.5], [0, 1], sq, 5.0, "constant")
+        phi = correction_factors([[0, 47.5]], [[0, 1]], sq, 5.0,
+                                 MicromodulusProfile("constant"))[0]
         assert phi == pytest.approx(8.0, rel=1e-12)
 
     def test_half_depth_conical(self):
         # ratio of conical radial moments at d = horizon/2 is 16/5
         sq = Domain.rectangle(100, 100)
-        phi = correction_factor([0, 47.5], [0, 1], sq, 5.0, "conical")
+        phi = correction_factors([[0, 47.5]], [[0, 1]], sq, 5.0,
+                                 MicromodulusProfile("conical"))[0]
         assert phi == pytest.approx(3.2, rel=1e-12)
         num = _radial_quadrature("conical", 5.0, 5.0)
         den = _radial_quadrature("conical", 5.0, 2.5)

@@ -42,6 +42,12 @@ def small_model(nx=6, ny=6, spacing=1.0, horizon=2.5, surfaces="all"):
     return dom, nodes, bonds, m, corr, k
 
 
+def ramp_solver(k, base, positions, **kwargs):
+    """A RampSolver on the nested-dissection tree of the nodes at ``positions``."""
+    tree = pd_core.nested_dissection(positions, pd_core._operator_reach(positions, k))
+    return RampSolver(k, base, tree, **kwargs)
+
+
 def _assemble_reference(nodes, bonds, correction):
     """K as the sum of three matrices: the bond blocks, their transpose and the
     node blocks."""
@@ -252,7 +258,7 @@ class TestSolveStatic:
         bcs.add_load(nodes.on_side(dom, "+y"), fy=0.3)
         assert (~bcs.prescribed_mask).sum() > 3000
         u, diag = pd_core.solve_static(k, bcs)
-        u_ref, ref_diag = RampSolver(k, bcs, nodes.positions).solve(np.empty(0))
+        u_ref, ref_diag = ramp_solver(k, bcs, nodes.positions).solve(np.empty(0))
         assert diag.method == "pcg" and ref_diag.method == "direct"
         assert np.abs(u - u_ref).max() < 1e-8 * np.abs(u_ref).max()
 
@@ -535,7 +541,7 @@ class TestMultifrontalCholesky:
             # only passes its children's updates on
             tree = pd_core.nested_dissection(positions, pd_core._operator_reach(positions, k))
             base.prescribe(next(ids for ids, kids in tree[:-1] if kids), ux=0.0, uy=0.0)
-        solver = RampSolver(k, base, positions)
+        solver = ramp_solver(k, base, positions)
         if whole_block:
             assert len(solver.lu.fronts) < len(tree)
         return solver, k, base
@@ -636,7 +642,7 @@ class TestMultifrontalCholesky:
         nodes, _, k, base, _ = self._no_shear()
         with pytest.raises(SolverFailure,
                            match=r"not positive definite at front \d+ \(\d+ unknowns"):
-            RampSolver(k, base, nodes.positions)
+            ramp_solver(k, base, nodes.positions)
 
     def test_singular_ramp_is_solver_failure(self):
         nodes, bonds, k, base, top = self._no_shear()
@@ -659,7 +665,7 @@ class TestMultifrontalCholesky:
                           shape=(2 * nodes.n, 2 * len(half)))
         held = base.prescribed_mask[half] | (x[half, None] == 0) & [False, True]
         with pytest.raises(SolverFailure, match="not positive definite"):
-            RampSolver((q.T @ k @ q).tocsr(), BCSet(len(half), held), nodes.positions[half])
+            ramp_solver((q.T @ k @ q).tocsr(), BCSet(len(half), held), nodes.positions[half])
 
     def test_memory_error_is_solver_failure(self, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -667,7 +673,7 @@ class TestMultifrontalCholesky:
         monkeypatch.setattr(pd_core, "cholesky", exhausted)
         nodes, _, k, base, _ = self._no_shear()
         with pytest.raises(SolverFailure, match=r"^out of memory factoring \d+ unknowns$"):
-            RampSolver(k, base, nodes.positions)
+            ramp_solver(k, base, nodes.positions)
 
 
 class TestRampSolver:
@@ -676,7 +682,7 @@ class TestRampSolver:
         base = BCSet(nodes.n)
         bottom = nodes.on_side(dom, "-y")
         base.prescribe(bottom, ux=0.0, uy=0.0)
-        solver = RampSolver(k, base, nodes.positions, tol=1e-11)
+        solver = ramp_solver(k, base, nodes.positions, tol=1e-11)
         top = nodes.on_side(dom, "+y")[:3]
         dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
         solver.add_constraints(dofs)
@@ -692,14 +698,14 @@ class TestRampSolver:
         base = BCSet(nodes.n)
         base.prescribe([0], ux=0.0, uy=0.0)
         base.prescribe([1], uy=0.0)
-        solver = RampSolver(k, base, nodes.positions)
+        solver = ramp_solver(k, base, nodes.positions)
         with pytest.raises(ValueError):
             solver.add_constraints([0])
 
     def test_no_free_dofs(self):
         _, nodes, _, _, _, k = small_model()
         base = BCSet(nodes.n).prescribe(np.arange(nodes.n), ux=0.01, uy=-0.02)
-        solver = RampSolver(k, base, nodes.positions)
+        solver = ramp_solver(k, base, nodes.positions)
         assert solver.lu.solve(np.empty(0)).shape == (0,)
         assert solver.lu.solve(np.empty((0, 3))).shape == (0, 3)
         u, diag = solver.solve(np.empty(0))
@@ -713,7 +719,7 @@ class TestRampSolver:
         top = nodes.on_side(dom, "+y")[2:7]
         dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
         values = np.tile([0.002, -0.01], len(top))
-        return RampSolver(k, base, nodes.positions), dofs, values, base
+        return ramp_solver(k, base, nodes.positions), dofs, values, base
 
     def test_batches_match_single_dofs(self):
         solver, dofs, values, _ = self._ramp()
@@ -777,7 +783,7 @@ class TestRampSolver:
         else:
             base.prescribed_value[bottom[2], 1] = np.nan
         with np.errstate(invalid="ignore"):
-            solver = RampSolver(k, base, nodes.positions)
+            solver = ramp_solver(k, base, nodes.positions)
             if contacts:
                 solver.add_constraints([2 * top[0], 2 * top[0] + 1])
             with pytest.raises(SolverFailure, match="relative residual nan"):
@@ -815,7 +821,7 @@ class TestRampSolver:
         base.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
         top = nodes.on_side(dom, "+y")
         base.add_load(top[:2], fx=0.3, fy=-1.0)
-        solver = RampSolver(k, base, nodes.positions, tol=tol)
+        solver = ramp_solver(k, base, nodes.positions, tol=tol)
         return solver, k.tocsr()[solver.free][:, solver.free], top[2:]
 
     @pytest.mark.parametrize("factor", ["exact", "inexact"])
@@ -864,7 +870,7 @@ def full_ramp(positions, k, base, surface, radius, depths, bonds):
     Returns the forces and stuck counts per converged depth, the stuck ids in
     attach order and the inverted bonds of the aborting step.
     """
-    solver = RampSolver(k, base, positions)
+    solver = ramp_solver(k, base, positions)
     top = positions[surface, 1].max()
     u = np.zeros_like(positions)
     stuck, offsets, forces, counts = np.empty(0, dtype=int), np.empty((0, 2)), [], []
@@ -1090,7 +1096,7 @@ class TestIndentationRamp:
 
         def refused(kf, held):
             try:
-                RampSolver(kf, BCSet(len(half), base.prescribed_mask[half] | held),
+                ramp_solver(kf, BCSet(len(half), base.prescribed_mask[half] | held),
                            nodes.positions[half])
             except SolverFailure as exc:
                 assert "not positive definite" in str(exc)
