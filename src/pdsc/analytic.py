@@ -68,10 +68,7 @@ def relative_error_field(u_num: np.ndarray, u_ref: np.ndarray):
     included = np.abs(u_ref) >= ZERO_TOL
     err = np.zeros_like(u_num)
     err[included] = np.abs(u_num[included] - u_ref[included]) / np.abs(u_ref[included])
-    max_err = np.array([
-        err[included[:, 0], 0].max() if included[:, 0].any() else 0.0,
-        err[included[:, 1], 1].max() if included[:, 1].any() else 0.0,
-    ])
+    max_err = np.array([err[included[:, a], a].max(initial=0.0) for a in (0, 1)])
     return err, included, max_err
 
 

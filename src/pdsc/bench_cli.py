@@ -524,8 +524,9 @@ def run_clamped(run: Run) -> None:
         bcs.prescribe(held, ux=0.0, uy=-edge_disp)
         u, diag = pd_core.solve_static(model.k, bcs, tol=cfg.tol)
         w = model.energy_density(u)
-        stress = float(pd_core.mean_tensile_stress(
-            pd_core.reaction_force(model.k, u, bcs, pulled)[1], cfg.size_x, cfg.thickness))
+        # |F| over the undeformed cross-section (MPa)
+        stress = float(abs(pd_core.reaction_force(model.k, u, bcs, pulled)[1])
+                       / (cfg.size_x * cfg.thickness))
         real = np.ones(len(positions), dtype=bool)
         if model.nodes is not None:
             real = model.nodes.real_mask

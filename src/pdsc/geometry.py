@@ -296,15 +296,12 @@ def add_virtual_layers(nodes: NodeSet, domain: Domain, side: str, layers: int) -
     real = nodes.positions[nodes.real_mask]
     extreme = real[:, axis].max() if sign > 0 else real[:, axis].min()
     row = real[np.abs(real[:, axis] - extreme) < 1e-7 * nodes.spacing]
-    cols = np.sort(np.unique(row[:, other]))
-    new_pts = []
-    for k in range(1, layers + 1):
-        coord = extreme + sign * k * nodes.spacing
-        block = np.empty((len(cols), 2))
-        block[:, axis] = coord
-        block[:, other] = cols
-        new_pts.append(block)
-    new_pts = np.vstack(new_pts)
+    cols = np.unique(row[:, other])
+    # layer by layer outward, each in ascending order along the edge
+    new_pts = np.empty((layers * len(cols), 2))
+    new_pts[:, axis] = np.repeat(extreme + sign * np.arange(1, layers + 1) * nodes.spacing,
+                                 len(cols))
+    new_pts[:, other] = np.tile(cols, layers)
     vol = np.full(len(new_pts), nodes.spacing**2 * domain.thickness)
     roles = np.full(len(new_pts), ROLE_VIRTUAL, dtype=np.uint8)
     return NodeSet(

@@ -249,7 +249,7 @@ def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
     bulk = material.bond_amplitude(bonds.length)
     phi_i = np.ones(bonds.m)
     phi_j = np.ones(bonds.m)
-    if surfaces is not None and bonds.m > 0:
+    if surfaces is not None:
         edge_indices = None if surfaces == "all" else domain.side_edge_indices(surfaces)
         real_end = np.zeros(nodes.n, dtype=bool)
         real_end[bonds.i] = real_end[bonds.j] = True
@@ -264,8 +264,6 @@ def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
         cast[real_end] = domain.boundary_distance(points, edge_indices) <= bonds.horizon + slack
         for phi, ends, signs in ((phi_i, bonds.i, 1.0), (phi_j, bonds.j, -1.0)):
             active = cast[ends]
-            if not np.any(active):
-                continue
             phi[active] = correction_factors(
                 nodes.positions[ends[active]], signs * bonds.unit[active],
                 domain, bonds.horizon, material.profile, edge_indices)

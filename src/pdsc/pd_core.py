@@ -69,10 +69,6 @@ class BCSet:
         if np.any(clash):
             raise ValueError("a node/axis pair is both prescribed and loaded")
 
-    def copy(self) -> "BCSet":
-        return BCSet(self.n, self.prescribed_mask.copy(),
-                     self.prescribed_value.copy(), self.loads.copy())
-
 
 @dataclass
 class SolveDiagnostics:
@@ -419,12 +415,9 @@ def solve_static(k: sp.csr_matrix, bcs: BCSet,
     u = np.zeros(ndof)
     u[pres] = bcs.prescribed_value.ravel()[pres]
     b = bcs.loads.ravel()
-    nfree = int(free.sum())
-    if nfree == 0:
-        return u.reshape(-1, 2), SolveDiagnostics("none", 0, 0.0)
     rhs = (b - k @ u)[free]
     kff = k[free][:, free]
-    uf, iters, res = _pcg(kff, rhs, tol, int(np.ceil(50 * np.sqrt(nfree))))
+    uf, iters, res = _pcg(kff, rhs, tol, int(np.ceil(50 * np.sqrt(len(rhs)))))
     if not res <= tol:
         raise SolverFailure(
             f"pcg solve stalled at relative residual {res:.3e} (tol {tol:.1e})")
@@ -443,8 +436,6 @@ def strain_energy_density(nodes: NodeSet, bonds: BondTable,
     separately.
     """
     w = np.zeros(nodes.n)
-    if bonds.m == 0:
-        return w
     du = u[bonds.j] - u[bonds.i]
     stretch_sq = (bonds.unit[:, 0] * du[:, 0] + bonds.unit[:, 1] * du[:, 1]) ** 2
     base = 0.25 * correction.bulk * stretch_sq / bonds.length
@@ -466,11 +457,6 @@ def reaction_force(k: sp.csr_matrix, u: np.ndarray, bcs: BCSet,
     rows = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
     r = (k[rows] @ u.ravel() - bcs.loads.ravel()[rows]).reshape(-1, 2)
     return r.sum(axis=0)
-
-
-def mean_tensile_stress(force_axial: float, width: float, thickness: float) -> float:
-    """|F| divided by the undeformed cross-section (MPa)."""
-    return abs(force_axial) / (width * thickness)
 
 
 def check_bond_inversion(bonds: BondTable, u: np.ndarray) -> np.ndarray:
@@ -588,11 +574,6 @@ class RampSolver:
         """A^{-1} e_c per constrained dof, in attach order."""
         return self._cols[:, :len(self.cdofs)]
 
-    @property
-    def constrained_dofs(self) -> np.ndarray:
-        return self.free[np.array(self.cdofs, dtype=int)] if self.cdofs else \
-            np.empty(0, dtype=int)
-
     def add_constraints(self, dofs) -> None:
         """Register additional constrained dofs (must be base-free).
 
@@ -623,7 +604,8 @@ class RampSolver:
         except LinAlgError as exc:
             raise SolverFailure(f"the Gram matrix of {n + m} contact dofs is not "
                                 "positive definite") from exc
-        # column by column: scipy's product with a few columns at once is slower
+        # column by column: most batches are one node, two columns, where
+        # scipy's block product is slower (equal at one column, faster from three)
         self._kcols[:, n:n + m] = np.column_stack([self.kff @ c for c in cols.T])
         self.gram, self._gram_factor = gram, factor
         self.cdofs += new
@@ -631,12 +613,15 @@ class RampSolver:
     def solve(self, values: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
         """Solve with the registered dofs held at ``values`` (attach order).
 
-        A non-finite value or residual raises :class:`SolverFailure`.
+        The contract holds both the residual and the contact miss
+        ``max|uf[cdofs] - values|``, relative to ``max|values|`` (1.0 when
+        every value is zero), to ``tol``; a refinement round corrects both. A
+        non-finite value, residual or miss raises :class:`SolverFailure`.
         """
         values = np.asarray(values, dtype=float)
         if not np.isfinite(values).all():
             raise SolverFailure("ramp solve given non-finite contact values")
-        if not len(self.free):  # the base set prescribes every dof
+        if not len(self.free):  # the base set prescribes every dof; dnrm2 rejects empty vectors
             return self.u_base.reshape(-1, 2).copy(), SolveDiagnostics("direct", 0, 0.0)
         uf, r = self.y.copy(), self.r0.copy()
         if self.cdofs:
@@ -646,21 +631,24 @@ class RampSolver:
             r = dgemv(1.0, self._kcols[:, :len(self.cdofs)], lam, beta=1.0, y=r,
                       overwrite_y=1)
         rounds, ref = 0, dnrm2(self.rhs) or 1.0
+        scale = np.abs(values).max(initial=0.0) or 1.0
         while True:
             r[self.cdofs] = 0.0  # constrained rows carry reaction, not residual
             res = dnrm2(r) / ref
-            if not res > self.tol or rounds >= 3:  # a NaN residual stops too
+            miss = np.abs(uf[self.cdofs] - values).max(initial=0.0) / scale
+            if not np.maximum(res, miss) > self.tol or rounds >= 3:  # NaN stops too
                 break
             d = self.lu.solve(r)
             if self.cdofs:
-                lam = cho_solve(self._gram_factor, d[self.cdofs], check_finite=False)
+                lam = cho_solve(self._gram_factor, d[self.cdofs] + uf[self.cdofs] - values,
+                                check_finite=False)
                 d = dgemv(-1.0, self.cols, lam, beta=1.0, y=d, overwrite_y=1)
             uf += d
             rounds += 1
             r = self.rhs - self.kff @ uf
-        if not res <= self.tol:
-            raise SolverFailure(
-                f"ramp solve stalled at relative residual {res:.3e} (tol {self.tol:.1e})")
+        if not (res <= self.tol and miss <= self.tol):
+            raise SolverFailure(f"ramp solve stalled at relative residual {res:.3e}, "
+                                f"contact miss {miss:.3e} (tol {self.tol:.1e})")
         u = self.u_base.copy()
         u[self.free] = uf
         return u.reshape(-1, 2), SolveDiagnostics("direct", rounds, float(res))
@@ -856,7 +844,7 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     surface = np.flatnonzero(np.isin(ids, surface_ids))
     u, v = np.zeros_like(positions), np.zeros_like(half)
     stuck, offsets = np.empty(0, dtype=int), np.empty((0, 2))  # on the half
-    held = np.empty((0, 2), dtype=bool)  # their constrained dofs
+    held = np.stack([pair, np.ones_like(pair)], axis=1)  # each half node's dofs a contact holds
     stuck_ids = np.empty(0, dtype=int)  # whole block
     out_depths, out_forces, out_stuck, iters = [], [], [], []
     failure_depth = None
@@ -869,16 +857,13 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
         dist = np.linalg.norm(rel, axis=1)
         hit = dist < radius * (1 - 1e-12)
         newly = candidates[hit]
-        if len(newly) > 0:
-            new_held = np.stack([pair[newly], np.ones(len(newly), dtype=bool)], axis=1)
-            stuck = np.concatenate([stuck, newly])
-            offsets = np.vstack([offsets, rel[hit] * (radius / dist[hit])[:, None]])
-            held = np.vstack([held, new_held])
-            solver.add_constraints(np.stack([2 * newly, 2 * newly + 1], axis=1)[new_held])
-            stuck_ids = np.concatenate([stuck_ids, np.flatnonzero(np.isin(src, newly))])
+        stuck = np.concatenate([stuck, newly])
+        offsets = np.vstack([offsets, rel[hit] * (radius / dist[hit])[:, None]])
+        solver.add_constraints((2 * newly[:, None] + [0, 1])[held[newly]])
+        stuck_ids = np.concatenate([stuck_ids, np.flatnonzero(np.isin(src, newly))])
         target = center[None, :] + offsets - half[stuck]
         try:
-            v_new, diag = solver.solve(target[held])
+            v_new, diag = solver.solve(target[held[stuck]])
         except SolverFailure as exc:
             raise SolverFailure(f"at depth {depth:g} mm: {exc}") from exc
         u_new = v_new[src] * sign

@@ -137,6 +137,25 @@ class TestVirtualLayers:
         new = grown.positions[nodes.n:]
         assert new[:, 1].min() > 2.0
 
+    @pytest.mark.parametrize("side", ["-y", "-x"])
+    def test_negative_side_layer_order(self, side):
+        # layer 1 lies next to the body, each layer ascending along the edge,
+        # the same bits as building the layers one by one
+        dom = Domain.rectangle(4, 3)
+        nodes = geo.build_grid(dom, GridSpec.cell_centered(dom, 1 / 6))
+        grown = geo.add_virtual_layers(nodes, dom, side, 3)
+        axis, other = (1, 0) if side == "-y" else (0, 1)
+        edge = nodes.positions[:, axis].min()
+        along = np.unique(nodes.positions[:, other])
+        layers = []
+        for k in (1, 2, 3):
+            block = np.empty((len(along), 2))
+            block[:, axis] = edge - k * nodes.spacing
+            block[:, other] = along
+            layers.append(block)
+        assert np.array_equal(grown.positions[nodes.n:], np.vstack(layers))
+        assert grown.virtual_mask.sum() == 3 * len(along)
+
     def test_non_axis_aligned_surface_rejected(self):
         tri = Domain(np.array([[0, 0], [4, 0], [2, 3]]))
         nodes = geo.build_grid(tri, GridSpec(0.5, (0.5, 0.5), (6, 4)))
