@@ -20,7 +20,7 @@ from .pd_core import (
     strain_energy_density, reaction_force, check_bond_inversion,
     run_indentation,
 )
-from .fem_ref import FEMesh, PlaneStressLaw, fem_assemble, fem_energy_density
+from .fem_ref import FEMesh, fem_assemble, fem_energy_density
 from .analytic import (
     AffineField, RankDeficiency, uniaxial_solution, relative_error_field,
     dense_oracle_solve,

@@ -50,12 +50,14 @@ class ConfigError(ValueError):
     """Malformed configuration file, key or value."""
 
 
-VARIANTS = {
-    "tension": ("uncorrected", "corrected"),
-    "clamped": ("fem", "uncorrected", "corrected", "virtual_nodes",
-                "virtual_nodes_corrected_sides"),
-    "indent": ("fem", "corrected", "uncorrected"),
-    "calibrate": (),
+# per experiment: its variants and its shipped size_x, size_y, spacing, horizon (mm)
+EXPERIMENTS = {
+    "tension": (("uncorrected", "corrected"), (50.0, 100.0, 1.0, 5.0)),
+    "clamped": (("fem", "uncorrected", "corrected", "virtual_nodes",
+                 "virtual_nodes_corrected_sides"),
+                (4.0, 4.0, 1.0 / 6, 1.0)),      # four horizons, m = 1/6
+    "indent": (("fem", "corrected", "uncorrected"), (40.0, 40.0, 0.25, 1.5)),
+    "calibrate": ((), (50.0, 100.0, 1.0, 5.0)),
 }
 
 
@@ -85,12 +87,13 @@ class ExperimentConfig:
         return self.spacing / self.horizon
 
     def validate(self) -> None:
-        if self.experiment not in VARIANTS:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        bad = [v for v in self.variants if v not in VARIANTS[self.experiment]]
+        known = EXPERIMENTS[self.experiment][0]
+        bad = [v for v in self.variants if v not in known]
         if bad:
             raise ConfigError(f"variant(s) {bad} invalid for {self.experiment}")
-        if VARIANTS[self.experiment] and not self.variants:
+        if known and not self.variants:
             raise ConfigError(f"{self.experiment} needs at least one variant")
         repeated = sorted({v for v in self.variants if self.variants.count(v) > 1})
         if repeated:
@@ -128,20 +131,11 @@ class ExperimentConfig:
                                   f"depth_max is wider than the block ({self.size_x:.6g} mm)")
 
 
-# shipped defaults per experiment: size_x, size_y, spacing, horizon (mm)
-_DEFAULT_GRIDS = {
-    "tension": (50.0, 100.0, 1.0, 5.0),
-    "clamped": (4.0, 4.0, 1.0 / 6, 1.0),      # four horizons, m = 1/6
-    "indent": (40.0, 40.0, 0.25, 1.5),
-    "calibrate": (50.0, 100.0, 1.0, 5.0),
-}
-
-
 def default_config(experiment: str) -> ExperimentConfig:
-    if experiment not in _DEFAULT_GRIDS:
+    if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    return ExperimentConfig(experiment, VARIANTS[experiment],
-                            *_DEFAULT_GRIDS[experiment], out=f"runs/{experiment}")
+    variants, grid = EXPERIMENTS[experiment]
+    return ExperimentConfig(experiment, variants, *grid, out=f"runs/{experiment}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -320,6 +314,7 @@ class Run:
         self.metrics = {}
         self.artifacts = []
         self.wall_seconds = 0.0
+        self.elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
         self._virtual = self._lattice = self._material = self._model = None
 
     def release(self) -> None:
@@ -348,14 +343,13 @@ class Run:
     def material(self) -> MaterialModel:
         if self._material is None:
             cfg = self.cfg
-            elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
             self._material = MaterialModel.calibrated(
-                elastic, cfg.horizon, cfg.profile, cfg.calibration, cfg.spacing)
+                self.elastic, cfg.horizon, cfg.profile, cfg.calibration, cfg.spacing)
             lattice = material.discrete_hooke(self._material, cfg.spacing)
             if not lattice.xyxy > 0.0:
                 raise ConfigError("the lattice has no shear stiffness: the horizon "
                                   "must reach a diagonal neighbour with nonzero modulus")
-            target = material.hooke_plane_stress(elastic)
+            target = material.hooke_plane_stress(self.elastic)
             self.metrics["c0"] = self._material.bulk_amplitude
             self.metrics["calibration_residual"] = abs(lattice.xxxx / target.xxxx - 1.0)
         return self._material
@@ -380,9 +374,8 @@ class Run:
         if variant == "fem":
             mesh = fem_ref.FEMesh.from_grid(
                 self.domain, GridSpec.covering(self.domain, cfg.spacing))
-            law = fem_ref.PlaneStressLaw(cfg.youngs_modulus, thickness=cfg.thickness)
-            return Model(mesh.nodes, fem_ref.fem_assemble(mesh, law),
-                         lambda u: fem_ref.fem_energy_density(mesh, law, u))
+            return Model(mesh.nodes, fem_ref.fem_assemble(mesh, self.elastic),
+                         lambda u: fem_ref.fem_energy_density(mesh, self.elastic, u))
         nodes, bonds = self.lattice(variant.startswith("virtual_nodes"))
         corr = material.correct_bonds(bonds, nodes, self.domain, self.material(),
                                       _SURFACES.get(variant))
@@ -611,13 +604,12 @@ def run_calibrate(run: Run) -> None:
     """Report bulk amplitudes and affine energy-match residuals."""
     cfg = run.cfg
     metrics = run.metrics
-    elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
-    target = material.hooke_plane_stress(elastic)
+    target = material.hooke_plane_stress(run.elastic)
     for kind in material.PROFILE_KINDS:
         for mode in ("continuum", "discrete"):
-            c0 = material.calibrate_bulk(elastic, kind, cfg.horizon, mode, cfg.spacing)
+            c0 = material.calibrate_bulk(run.elastic, kind, cfg.horizon, mode, cfg.spacing)
             metrics[f"c0.{kind}.{mode}"] = c0
-            mat = MaterialModel(elastic, cfg.horizon, material.MicromodulusProfile(kind), c0)
+            mat = MaterialModel(run.elastic, cfg.horizon, material.MicromodulusProfile(kind), c0)
             lattice = material.discrete_hooke(mat, cfg.spacing)
             metrics[f"residual_uniaxial.{kind}.{mode}"] = abs(
                 lattice.xxxx / target.xxxx - 1.0)

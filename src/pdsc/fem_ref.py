@@ -14,27 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Domain, GeometryError, GridSpec
-from .material import POISSON
-
-
-@dataclass(frozen=True)
-class PlaneStressLaw:
-    """Isotropic plane-stress constitutive law at the bond model's Poisson's ratio."""
-
-    youngs_modulus: float
-    thickness: float = 1.0
-
-    @property
-    def poisson(self) -> float:
-        return POISSON
-
-    def matrix(self) -> np.ndarray:
-        e, nu = self.youngs_modulus, self.poisson
-        return e / (1 - nu**2) * np.array([
-            [1.0, nu, 0.0],
-            [nu, 1.0, 0.0],
-            [0.0, 0.0, (1 - nu) / 2.0],
-        ])
+from .material import POISSON, ElasticParams
+from .pd_core import node_dofs
 
 
 @dataclass(frozen=True)
@@ -57,15 +38,17 @@ class FEMesh:
     @property
     def element_dofs(self) -> np.ndarray:
         """(E, 8) dofs of each element's corners, ``u_x`` and ``u_y`` interleaved."""
-        return (2 * self.elements[:, :, None] + [0, 1]).reshape(-1, 8)
+        return node_dofs(self.elements.ravel()).reshape(-1, 8)
 
 
 _GAUSS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 
-def element_stiffness(spacing: float, law: PlaneStressLaw) -> np.ndarray:
-    """8x8 stiffness of one square bilinear element."""
-    d = law.matrix()
+def element_stiffness(spacing: float, law: ElasticParams) -> np.ndarray:
+    """8x8 stiffness of one square bilinear element in plane stress at ``POISSON``."""
+    e, nu = law.youngs_modulus, POISSON
+    d = e / (1 - nu**2) * np.array([[1.0, nu, 0.0], [nu, 1.0, 0.0],
+                                     [0.0, 0.0, (1 - nu) / 2.0]])
     half = spacing / 2.0
     ke = np.zeros((8, 8))
     for gx in _GAUSS:
@@ -87,7 +70,7 @@ def element_stiffness(spacing: float, law: PlaneStressLaw) -> np.ndarray:
     return ke
 
 
-def fem_assemble(mesh: FEMesh, law: PlaneStressLaw) -> sp.csr_matrix:
+def fem_assemble(mesh: FEMesh, law: ElasticParams) -> sp.csr_matrix:
     """Global stiffness (2N x 2N CSR), no exact zero stored; passes the patch test."""
     ke = element_stiffness(mesh.spacing, law)
     dofs = mesh.element_dofs
@@ -100,7 +83,7 @@ def fem_assemble(mesh: FEMesh, law: PlaneStressLaw) -> sp.csr_matrix:
     return k
 
 
-def fem_energy_density(mesh: FEMesh, law: PlaneStressLaw, u: np.ndarray) -> np.ndarray:
+def fem_energy_density(mesh: FEMesh, law: ElasticParams, u: np.ndarray) -> np.ndarray:
     """Nodal energy density (MPa): adjacent element densities averaged.
 
     The element total is 1/2 u_e^T k_e u_e, so summing the element energies

@@ -28,6 +28,11 @@ class SolverFailure(RuntimeError):
     """The constrained linear solve did not reach the requested residual."""
 
 
+def node_dofs(ids: np.ndarray) -> np.ndarray:
+    """``(len(ids), 2)`` dofs ``2 * node + axis`` of an array of node ids."""
+    return 2 * ids[:, None] + np.arange(2)
+
+
 @dataclass
 class BCSet:
     """Prescribed displacements (per axis) and applied nodal forces.
@@ -398,6 +403,18 @@ class MultifrontalCholesky:
         return x
 
 
+def _reduced(k: sp.csr_matrix, bcs: BCSet, dofs: np.ndarray):
+    """``K u = f`` split: the free dofs among ``dofs`` in their order, the
+    prescribed field ``u`` (zero where free), ``rhs = (f - K u)[free]``, ``K_ff``."""
+    bcs.validate()
+    pres = bcs.prescribed_mask.ravel()
+    free = dofs[~pres[dofs]]
+    u = np.zeros(k.shape[0])
+    u[pres] = bcs.prescribed_value.ravel()[pres]
+    rhs = (bcs.loads.ravel() - k @ u)[free]
+    return free, u, rhs, k[free][:, free]
+
+
 def solve_static(k: sp.csr_matrix, bcs: BCSet,
                  tol: float = 1e-10) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve K u = b with prescribed dofs eliminated.
@@ -408,15 +425,7 @@ def solve_static(k: sp.csr_matrix, bcs: BCSet,
     SolverFailure. The tests check it against ``analytic.dense_oracle_solve``
     and the :class:`MultifrontalCholesky` of a :class:`RampSolver`.
     """
-    bcs.validate()
-    ndof = k.shape[0]
-    pres = bcs.prescribed_mask.ravel()
-    free = ~pres
-    u = np.zeros(ndof)
-    u[pres] = bcs.prescribed_value.ravel()[pres]
-    b = bcs.loads.ravel()
-    rhs = (b - k @ u)[free]
-    kff = k[free][:, free]
+    free, u, rhs, kff = _reduced(k, bcs, np.arange(k.shape[0]))
     uf, iters, res = _pcg(kff, rhs, tol, int(np.ceil(50 * np.sqrt(len(rhs)))))
     if not res <= tol:
         raise SolverFailure(
@@ -453,8 +462,7 @@ def reaction_force(k: sp.csr_matrix, u: np.ndarray, bcs: BCSet,
     Only the given nodes' rows of ``k`` are multiplied; each row sums its
     entries in stored order, as the full product would.
     """
-    ids = np.asarray(node_ids, dtype=int)
-    rows = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
+    rows = node_dofs(np.asarray(node_ids, dtype=int)).ravel()
     r = (k[rows] @ u.ravel() - bcs.loads.ravel()[rows]).reshape(-1, 2)
     return r.sum(axis=0)
 
@@ -545,29 +553,21 @@ class RampSolver:
 
     def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, tree: list[tuple],
                  twin=None, tol: float = 1e-10):
-        base_bcs.validate()
         self.tol = tol
-        ndof = k.shape[0]
-        pres = base_bcs.prescribed_mask.ravel()
         nodes = np.concatenate([ids for ids, _ in tree])
-        dofs = np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel()
-        self.free = dofs[~pres[dofs]]
+        self.free, self.u_base, self.rhs, self.kff = _reduced(
+            k, base_bcs, node_dofs(nodes).ravel())
         # each block's free dofs are consecutive in this numbering
-        sizes = [(~pres[2 * ids]).sum() + (~pres[2 * ids + 1]).sum() for ids, _ in tree]
-        self.kff = k[self.free][:, self.free]
+        sizes = [(~base_bcs.prescribed_mask[ids]).sum() for ids, _ in tree]
         self.lu = MultifrontalCholesky(self.kff, sizes, [kids for _, kids in tree], twin)
-        self.local = np.full(ndof, -1, dtype=np.int64)
+        self.local = np.full(k.shape[0], -1, dtype=np.int64)
         self.local[self.free] = np.arange(len(self.free))
-        self.u_base = np.zeros(ndof)
-        self.u_base[pres] = base_bcs.prescribed_value.ravel()[pres]
-        self.rhs = (base_bcs.loads.ravel() - k @ self.u_base)[self.free]
         self.y = self.lu.solve(self.rhs)       # unconstrained solution, cached
         self.r0 = self.rhs - self.kff @ self.y  # and its residual
         self._cols = np.empty((len(self.free), 0), order="F")
         self._kcols = np.empty_like(self._cols)     # K times each of _cols
         self.cdofs: list[int] = []                  # free-local constrained dofs
-        self.gram = np.empty((0, 0))                # S^T A^{-1} S
-        self._gram_factor = None                    # cho_factor of gram
+        self._gram_factor = None                    # cho_factor of S^T A^{-1} S
 
     @property
     def cols(self) -> np.ndarray:
@@ -598,16 +598,15 @@ class RampSolver:
                                        for _ in old)
             self._cols[:, :n], self._kcols[:, :n] = (a[:, :n] for a in old)
         cols = self._cols[:, n:n + m] = self.lu.solve(e)
-        gram = self._cols[self.cdofs + new, :n + m]
         try:
-            factor = cho_factor(gram, check_finite=False)
+            factor = cho_factor(self._cols[self.cdofs + new, :n + m], check_finite=False)
         except LinAlgError as exc:
             raise SolverFailure(f"the Gram matrix of {n + m} contact dofs is not "
                                 "positive definite") from exc
         # column by column: most batches are one node, two columns, where
         # scipy's block product is slower (equal at one column, faster from three)
         self._kcols[:, n:n + m] = np.column_stack([self.kff @ c for c in cols.T])
-        self.gram, self._gram_factor = gram, factor
+        self._gram_factor = factor
         self.cdofs += new
 
     def solve(self, values: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
@@ -734,14 +733,14 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     mirror = _mirror_map(positions)
     axis, right = mirror == np.arange(n), positions[:, 0] > 0
     ids = np.flatnonzero(right | axis)
-    hdof = np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
+    hdof = node_dofs(ids).ravel()
     k = sp.csr_matrix(k)
     reach = _operator_reach(positions, k)
     hk = k[hdof]
 
     def signed(to, signs, width):  # each node's dofs to those of node ``to``
-        cols = (2 * to[:, None] + [0, 1]).ravel()
-        return sp.csr_matrix((signs.ravel(), (np.arange(2 * n), cols)), shape=(2 * n, width))
+        return sp.csr_matrix((signs.ravel(), (np.arange(2 * n), node_dofs(to).ravel())),
+                             shape=(2 * n, width))
 
     r = signed(mirror, np.tile(_FLIP, n), 2 * n)
     # the half's rows of R K R^T - K; the other rows are their images
@@ -795,7 +794,7 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     tree.append((band, (len(tree) - 1,)))
     # K_a's root unknowns: the shared ones in K_s's order, then its own
     own = ~held_a[band]
-    dofs = (2 * band[:, None] + [0, 1])[own]
+    dofs = node_dofs(band)[own]
     twin = (sp.diags(rowfac_a.ravel()[dofs]) @ (hk[dofs] @ q)[:, dofs],
             int(own[:len(band) - differ.sum()].sum()), "on fields antisymmetric about x = 0")
     base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
@@ -859,7 +858,7 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
         newly = candidates[hit]
         stuck = np.concatenate([stuck, newly])
         offsets = np.vstack([offsets, rel[hit] * (radius / dist[hit])[:, None]])
-        solver.add_constraints((2 * newly[:, None] + [0, 1])[held[newly]])
+        solver.add_constraints(node_dofs(newly)[held[newly]])
         stuck_ids = np.concatenate([stuck_ids, np.flatnonzero(np.isin(src, newly))])
         target = center[None, :] + offsets - half[stuck]
         try:

@@ -371,7 +371,7 @@ class TestCriterion7FEMReference:
     def test_patch_exactness(self):
         dom = Domain.rectangle(4, 3)
         mesh = fem_ref.FEMesh.from_grid(dom, GridSpec.covering(dom, 0.5))
-        law = fem_ref.PlaneStressLaw(E)
+        law = ElasticParams(E)
         k = fem_ref.fem_assemble(mesh, law)
         rng = np.random.default_rng(5)
         worst = 0.0

@@ -64,9 +64,9 @@ class TestConfig:
     def test_repository_configs_parse(self):
         for f in sorted((ROOT / "configs").glob("*.cfg")):
             cfg = load_config(config_path=f)
-            assert cfg.experiment in bench_cli.VARIANTS
+            assert cfg.experiment in bench_cli.EXPERIMENTS
 
-    @pytest.mark.parametrize("name", sorted(bench_cli.VARIANTS))
+    @pytest.mark.parametrize("name", sorted(bench_cli.EXPERIMENTS))
     def test_defaults_equal_repository_configs(self, name):
         # the acceptance tests run the defaults, the benchmark the config files
         assert default_config(name) == load_config(
@@ -353,7 +353,7 @@ _LENGTHS = {"size_x": (1.0, 8.0, 2.0, 4.0, 6.0), "size_y": (1.0, 8.0, 2.0, 4.0, 
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(experiment=st.sampled_from(sorted(bench_cli.VARIANTS)),
+@given(experiment=st.sampled_from(sorted(bench_cli.EXPERIMENTS)),
        lengths=st.fixed_dictionaries({k: _length(*v) for k, v in _LENGTHS.items()}),
        steps=st.integers(1, 3), profile=st.sampled_from(material.PROFILE_KINDS),
        square=st.booleans(),

@@ -30,7 +30,7 @@ def operator(kind):
         return nodes.positions, k
     dom = Domain.rectangle(11.0, 9.0)
     mesh = fem_ref.FEMesh.from_grid(dom, GridSpec.covering(dom, 1.0))
-    return mesh.nodes, fem_ref.fem_assemble(mesh, fem_ref.PlaneStressLaw(E))
+    return mesh.nodes, fem_ref.fem_assemble(mesh, ElasticParams(E))
 
 
 def small_model(nx=6, ny=6, spacing=1.0, horizon=2.5, surfaces="all"):
@@ -252,13 +252,17 @@ class TestSolveStatic:
         assert diag.method == "pcg" and diag.iterations > 0
 
     def test_direct_matches_pcg(self):
+        # the bottom row is held at a nonzero displacement, so the right-hand
+        # side of every solve carries the prescribed field's term -K u_p
         dom, nodes, bonds, m, corr, k = small_model(nx=7, ny=5)
         bcs = BCSet(nodes.n)
-        bcs.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
+        bcs.prescribe(nodes.on_side(dom, "-y"), ux=0.004, uy=-0.002)
         bcs.add_load(nodes.on_side(dom, "+y"), fy=0.3)
         u_a, _ = pd_core.solve_static(k, bcs, tol=1e-12)
         u_b = analytic.dense_oracle_solve(k, bcs)
-        assert np.abs(u_a - u_b).max() < 1e-8 * np.abs(u_b).max()
+        u_c, _ = ramp_solver(k, bcs, nodes.positions).solve(np.empty(0))
+        for u in (u_a, u_c):
+            assert np.abs(u - u_b).max() < 1e-8 * np.abs(u_b).max()
 
     def test_default_is_pcg_above_3000_free_dofs(self):
         # PCG at any size, checked against the ramp's multifrontal factor
@@ -446,10 +450,6 @@ def _subtree(tree, t):
     return np.concatenate([ids] + [_subtree(tree, c) for c in children])
 
 
-def _node_dofs(ids):
-    return np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
-
-
 def _reach_reference(positions, k):
     """Largest per-axis distance over every stored entry of ``k``."""
     coo = k.tocoo()
@@ -515,8 +515,7 @@ class TestNestedDissection:
         assert lo.any() and hi.any() and not (lo | hi).all()
 
         def dofs(mask):
-            ids = np.flatnonzero(mask)
-            return np.stack([2 * ids, 2 * ids + 1], axis=1).ravel()
+            return pd_core.node_dofs(np.flatnonzero(mask)).ravel()
 
         assert k.tocsr()[dofs(lo)][:, dofs(hi)].nnz == 0
 
@@ -530,7 +529,7 @@ class TestNestedDissection:
         split = [(ids, kids) for ids, kids in tree if kids]
         assert len(split) >= 4
         for ids, kids in split:
-            lo, hi = (_node_dofs(_subtree(tree, c)) for c in kids)
+            lo, hi = (pd_core.node_dofs(_subtree(tree, c)).ravel() for c in kids)
             assert len(lo) and len(hi) and len(ids)
             assert k[lo][:, hi].nnz == 0
 
@@ -668,7 +667,7 @@ class TestMultifrontalCholesky:
         own = np.where(x >= 0, np.arange(nodes.n), pd_core._mirror_map(nodes.positions))
         col = np.searchsorted(half, own)
         q = sp.csr_matrix((np.stack([np.ones_like(x), np.sign(x)], axis=1).ravel(),
-                           (np.arange(2 * nodes.n), (2 * col[:, None] + [0, 1]).ravel())),
+                           (np.arange(2 * nodes.n), pd_core.node_dofs(col).ravel())),
                           shape=(2 * nodes.n, 2 * len(half)))
         held = base.prescribed_mask[half] | (x[half, None] == 0) & [False, True]
         with pytest.raises(SolverFailure, match="not positive definite"):
@@ -691,7 +690,7 @@ class TestRampSolver:
         base.prescribe(bottom, ux=0.0, uy=0.0)
         solver = ramp_solver(k, base, nodes.positions, tol=1e-11)
         top = nodes.on_side(dom, "+y")[:3]
-        dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
+        dofs = pd_core.node_dofs(top).ravel()
         solver.add_constraints(dofs)
         values = np.array([0.0, -0.01] * 3)
         u_ramp, _ = solver.solve(values)
@@ -728,7 +727,7 @@ class TestRampSolver:
         base = BCSet(nodes.n)
         base.prescribe(nodes.on_side(dom, "-y"), ux=0.0, uy=0.0)
         top = nodes.on_side(dom, "+y")[2:7]
-        dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
+        dofs = pd_core.node_dofs(top).ravel()
         values = np.tile([0.002, -0.01], len(top))
         return ramp_solver(k, base, nodes.positions), dofs, values, base
 
@@ -753,7 +752,7 @@ class TestRampSolver:
     def test_rejected_batch_leaves_solver_unchanged(self, where):
         solver, dofs, values, base = self._ramp()
         solver.add_constraints(dofs[:4])
-        before = (solver.free[solver.cdofs], solver.gram.copy(),
+        before = (solver.free[solver.cdofs], solver.cols[solver.cdofs],
                   solver.cols.copy(), solver.solve(values[:4])[0])
         prescribed = int(np.flatnonzero(base.prescribed_mask.ravel())[1])
         batch = list(dofs[4:])   # six free dofs
@@ -761,7 +760,7 @@ class TestRampSolver:
         with pytest.raises(ValueError):
             solver.add_constraints(batch)
         assert np.array_equal(solver.free[solver.cdofs], before[0])
-        assert np.array_equal(solver.gram, before[1])
+        assert np.array_equal(solver.cols[solver.cdofs], before[1])
         assert np.array_equal(solver.cols, before[2])
         assert np.array_equal(solver.solve(values[:4])[0], before[3])
 
@@ -769,7 +768,7 @@ class TestRampSolver:
     def test_indefinite_gram_is_solver_failure(self):
         solver, dofs, values, _ = self._ramp()
         solver.add_constraints(dofs[:4])
-        before = (solver.free[solver.cdofs], solver.gram.copy(), solver.cols.copy())
+        before = (solver.free[solver.cdofs], solver.cols[solver.cdofs], solver.cols.copy())
         factor = solver.lu
         solver.lu = SimpleNamespace(solve=lambda b: -factor.solve(b))
         with pytest.raises(SolverFailure, match="Gram matrix of 10 contact dofs is not "
@@ -777,7 +776,7 @@ class TestRampSolver:
             solver.add_constraints(dofs[4:])
         solver.lu = factor
         assert np.array_equal(solver.free[solver.cdofs], before[0])
-        assert np.array_equal(solver.gram, before[1])
+        assert np.array_equal(solver.cols[solver.cdofs], before[1])
         assert np.array_equal(solver.cols, before[2])
         solver.solve(values[:4])
 
@@ -796,7 +795,7 @@ class TestRampSolver:
         with np.errstate(invalid="ignore"):
             solver = ramp_solver(k, base, nodes.positions)
             if contacts:
-                solver.add_constraints([2 * top[0], 2 * top[0] + 1])
+                solver.add_constraints(pd_core.node_dofs(top[:1]).ravel())
             with pytest.raises(SolverFailure, match="relative residual nan"):
                 solver.solve(np.zeros(2 if contacts else 0))
 
@@ -845,7 +844,7 @@ class TestRampSolver:
         solver, kff, top = self._loaded(1e-4)
         rng, held = np.random.default_rng(6), []
         for batch in np.array_split(top, 4):  # the column buffers grow twice
-            dofs = np.stack([2 * batch, 2 * batch + 1], axis=1).ravel()
+            dofs = pd_core.node_dofs(batch).ravel()
             solver.add_constraints(dofs)
             held += dofs.tolist()
             u, diag = solver.solve(rng.uniform(-0.01, 0.01, len(held)))
@@ -863,7 +862,7 @@ class TestRampSolver:
         # the Gram matrix symmetric, so the contacts hold to rounding
         self._inexact_factor(monkeypatch, symmetric=True)
         solver, kff, top = self._loaded(1e-12)
-        dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
+        dofs = pd_core.node_dofs(top).ravel()
         solver.add_constraints(dofs)
         values = np.random.default_rng(6).uniform(-0.01, 0.01, len(dofs))
         u, diag = solver.solve(values)
@@ -881,7 +880,7 @@ class TestRampSolver:
         # rounds correct the miss too
         self._inexact_factor(monkeypatch)
         solver, kff, top = self._loaded(1e-12)
-        dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
+        dofs = pd_core.node_dofs(top).ravel()
         solver.add_constraints(dofs)
         values = np.random.default_rng(6).uniform(-0.01, 0.01, len(dofs))
         u, diag = solver.solve(values)
@@ -894,9 +893,9 @@ class TestRampSolver:
         # contacts, so three rounds leave a miss far above tol; the residual,
         # whose constrained rows are zeroed, still meets it
         solver, kff, top = self._loaded(1e-10)
-        dofs = np.stack([2 * top, 2 * top + 1], axis=1).ravel()
+        dofs = pd_core.node_dofs(top).ravel()
         solver.add_constraints(dofs)
-        solver._gram_factor = cho_factor(2 * solver.gram)
+        solver._gram_factor = cho_factor(2 * solver.cols[solver.cdofs])
         with pytest.raises(SolverFailure, match=r"relative residual \S+e-1\d, contact miss "
                                                 r"\S+e-0\d \(tol 1\.0e-10\)"):
             solver.solve(np.full(len(dofs), -0.01))
@@ -921,7 +920,7 @@ def full_ramp(positions, k, base, surface, radius, depths, bonds):
         stuck = np.concatenate([stuck, free[hit]])
         offsets = np.vstack([offsets, rel[hit] * (radius / np.linalg.norm(
             rel[hit], axis=1))[:, None]])
-        solver.add_constraints(np.stack([2 * free[hit], 2 * free[hit] + 1], axis=1).ravel())
+        solver.add_constraints(pd_core.node_dofs(free[hit]).ravel())
         u_new, _ = solver.solve((center + offsets - positions[stuck]).ravel())
         inverted = pd_core.check_bond_inversion(bonds, u_new)
         if len(inverted):
@@ -1058,7 +1057,7 @@ class TestIndentationRamp:
         x = nodes.positions[:, 0]
         half = np.flatnonzero(x >= 0)
         own = np.where(x >= 0, np.arange(nodes.n), pd_core._mirror_map(nodes.positions))
-        ij = (np.arange(2 * nodes.n), (2 * np.searchsorted(half, own)[:, None] + [0, 1]).ravel())
+        ij = (np.arange(2 * nodes.n), pd_core.node_dofs(np.searchsorted(half, own)).ravel())
         shape = (2 * nodes.n, 2 * len(half))
         # u_x odd and u_y even under P, the other way round under Q
         p, q = (sp.csr_matrix((np.stack(signs, axis=1).ravel(), ij), shape=shape)
@@ -1159,7 +1158,7 @@ class TestIndentationRamp:
         positions, x = nodes.positions, nodes.positions[:, 0]
         if what == "mirror-missing":
             keep = np.flatnonzero(~((x == 2.5) & (positions[:, 1] == 0)))
-            dofs = np.stack([2 * keep, 2 * keep + 1], axis=1).ravel()
+            dofs = pd_core.node_dofs(keep).ravel()
             sub = BCSet(len(keep), base.prescribed_mask[keep], base.prescribed_value[keep])
             return positions[keep], k[dofs][:, dofs], sub, np.searchsorted(keep, top)
         if what == "perturbed-pair":
