@@ -301,10 +301,8 @@ class Run:
     adds the calibration metrics; with ``dump_bonds`` each bond model writes
     ``<variant>/bonds.csv``.
 
-    Runners drop their reference to a model when its variant is done. The
-    run holds it until the lattice kind changes or the next bond model's
-    correction field exists, so assembly reuses its memory instead of the
-    allocator returning it to the OS and faulting it back in.
+    A runner's ``del model`` frees the operator before the next variant's
+    correction and assembly.
     """
 
     def __init__(self, experiment: str, cfg: ExperimentConfig):
@@ -315,11 +313,11 @@ class Run:
         self.artifacts = []
         self.wall_seconds = 0.0
         self.elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
-        self._virtual = self._lattice = self._material = self._model = None
+        self._virtual = self._lattice = self._material = None
 
     def release(self) -> None:
-        """Drop the lattice and the last model; the report stays."""
-        self._virtual = self._lattice = self._model = None
+        """Drop the lattice; the report stays."""
+        self._virtual = self._lattice = None
 
     def to_text(self) -> str:
         """The ``summary.txt`` report: config echo, metrics, artifacts, wall time."""
@@ -379,14 +377,12 @@ class Run:
         nodes, bonds = self.lattice(variant.startswith("virtual_nodes"))
         corr = material.correct_bonds(bonds, nodes, self.domain, self.material(),
                                       _SURFACES.get(variant))
-        self._model = None
         if cfg.dump_bonds:
             geometry.write_bonds_csv(self.out / variant / "bonds.csv", bonds, corr)
             self.artifacts.append(f"{variant}/bonds.csv")
-        self._model = Model(nodes.positions, pd_core.assemble(nodes, bonds, corr),
-                            lambda u: pd_core.strain_energy_density(nodes, bonds, corr, u),
-                            nodes, bonds)
-        return self._model
+        return Model(nodes.positions, pd_core.assemble(nodes, bonds, corr),
+                     lambda u: pd_core.strain_energy_density(nodes, bonds, corr, u),
+                     nodes, bonds)
 
 
 def experiment(body):
@@ -394,7 +390,7 @@ def experiment(body):
 
     The runner creates the output directory with one subdirectory per
     variant, lets ``body`` fill a fresh :class:`Run`, times the whole run
-    into ``summary.txt`` and returns the run with its operators released.
+    into ``summary.txt`` and returns the run with its lattice released.
     """
     name = body.__name__.removeprefix("run_")
 
@@ -483,7 +479,7 @@ def run_tension(run: Run) -> None:
         metrics[f"{variant}.excluded_uy"] = int((~included[:, 1]).sum())
         metrics[f"{variant}.solver_iterations"] = diag.iterations
         metrics[f"{variant}.solver_residual"] = diag.residual
-        del model  # leave the operator to the run, which frees it (see Run)
+        del model  # free the operator before the next variant is corrected and assembled
 
 
 @experiment
@@ -535,7 +531,7 @@ def run_clamped(run: Run) -> None:
             np.min(np.linalg.norm(run.domain.vertices - peak, axis=1)) < 1.5 * cfg.spacing)
         metrics[f"{variant}.solver_iterations"] = diag.iterations
         metrics[f"{variant}.solver_residual"] = diag.residual
-        del model  # leave the operator to the run, which frees it (see Run)
+        del model  # free the operator before the next variant is corrected and assembled
     write_stress_csv(run.out / "stresses.csv", stresses)
     run.artifacts.append("stresses.csv")
     if "fem" in cfg.variants:
@@ -585,7 +581,7 @@ def run_indent(run: Run) -> None:
                      and peak[1] >= 0.5 * cfg.size_y - 2 * cfg.horizon)
             metrics[f"{variant}.energy_peak_under_indenter"] = bool(under)
         metrics[f"{variant}.wall_seconds"] = time.perf_counter() - tv
-        del model  # leave the operator to the run, which frees it (see Run)
+        del model  # free the operator before the next variant is corrected and assembled
 
     pd_variants = [v for v in cfg.variants if v != "fem"]
     if "fem" in curves:
@@ -607,9 +603,8 @@ def run_calibrate(run: Run) -> None:
     target = material.hooke_plane_stress(run.elastic)
     for kind in material.PROFILE_KINDS:
         for mode in ("continuum", "discrete"):
-            c0 = material.calibrate_bulk(run.elastic, kind, cfg.horizon, mode, cfg.spacing)
-            metrics[f"c0.{kind}.{mode}"] = c0
-            mat = MaterialModel(run.elastic, cfg.horizon, material.MicromodulusProfile(kind), c0)
+            mat = MaterialModel.calibrated(run.elastic, cfg.horizon, kind, mode, cfg.spacing)
+            metrics[f"c0.{kind}.{mode}"] = mat.bulk_amplitude
             lattice = material.discrete_hooke(mat, cfg.spacing)
             metrics[f"residual_uniaxial.{kind}.{mode}"] = abs(
                 lattice.xxxx / target.xxxx - 1.0)

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky
 from scipy.linalg.blas import dgemm, dgemv, dnrm2, dsyrk, dtrsm
+from scipy.spatial import cKDTree
 
 from .geometry import BondTable, GeometryError, NodeSet
 from .material import CorrectionField
@@ -657,18 +658,20 @@ class RampSolver:
 class IndentationResult:
     """A ramp's converged steps; the punch centre is ``(0, top + radius - depth)``.
 
-    Fields are of the whole lattice, the half's mapped by ``u = P v``.
+    Fields are of the whole lattice, the half's mapped by ``u = P v``. When
+    the ramp aborts, ``inverted_bonds`` and ``stuck_ids`` include the aborting
+    step; the per-step fields and ``u_final`` stop at the last converged one.
     """
 
     depths: np.ndarray               # converged depths (mm)
     forces: np.ndarray               # indenter force per converged depth (N)
     failed: bool
-    failure_depth: float | None
-    inverted_bonds: np.ndarray
+    failure_depth: float | None      # the aborting step's depth
+    inverted_bonds: np.ndarray       # bonds reversed at the aborting step, else empty
     u_final: np.ndarray              # last converged displacement field
     stuck_ids: np.ndarray            # stuck nodes of the whole lattice, attach order
-    stuck_counts: np.ndarray
-    iterations: list
+    stuck_counts: np.ndarray         # len(stuck_ids) per converged depth
+    iterations: list                 # refinement rounds per converged depth
 
 
 _FLIP = np.array([-1.0, 1.0])  # the mirror x -> -x acting on (u_x, u_y)
@@ -677,18 +680,12 @@ _FLIP = np.array([-1.0, 1.0])  # the mirror x -> -x acting on (u_x, u_y)
 def _mirror_map(positions: np.ndarray) -> np.ndarray:
     """Id of each node's mirror image across x = 0.
 
-    Coordinates are keyed to multiples of half their smallest gap, so distinct
-    coordinates get distinct keys and the image of key ``(i, j)`` is the node
-    keyed ``(-i, j)``. A node whose image is no node raises GeometryError.
+    The image is the node nearest to ``(-x, y)``. If that node lies farther
+    than 1e-6 of the smallest coordinate gap, there is none: GeometryError.
     """
     gap = min(np.diff(np.unique(positions[:, a])).min(initial=np.inf) for a in (0, 1))
-    key = np.rint(positions / (0.5 * gap)).astype(np.int64)
-    rows = key[:, 1].max() - key[:, 1].min() + 1
-    code, image = (s * key[:, 0] * rows + key[:, 1] for s in (1, -1))
-    order = np.argsort(code)
-    mirror = order[np.searchsorted(code, image, sorter=order).clip(max=len(code) - 1)]
-    lost = np.flatnonzero((code[mirror] != image) | (np.abs(
-        positions[mirror] * _FLIP - positions).max(axis=1) > 1e-6 * gap))
+    dist, mirror = cKDTree(positions).query(positions * _FLIP)
+    lost = np.flatnonzero(~(dist <= 1e-6 * gap))
     if len(lost):
         x, y = positions[lost[0]]
         raise GeometryError(f"{len(lost)} node(s) have no mirror image across x = 0, "

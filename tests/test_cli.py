@@ -6,6 +6,7 @@ import importlib.util
 import io
 import re
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,13 @@ class TestTensionHarness:
             a = (tmp_path / "a" / rel).read_bytes()
             b = (tmp_path / "b" / rel).read_bytes()
             assert a == b
+
+    def test_run_keeps_no_operator_past_its_variant(self, tmp_path):
+        run = bench_cli.Run("tension", small_tension(tmp_path))
+        model = run.model("uncorrected")
+        k = weakref.ref(model.k)
+        del model
+        assert k() is None
 
 
 class TestCalibrateHarness:

@@ -905,7 +905,8 @@ def full_ramp(positions, k, base, surface, radius, depths, bonds):
     """The indentation ramp solved on the whole lattice, as a reference.
 
     Returns the forces and stuck counts per converged depth, the stuck ids in
-    attach order and the inverted bonds of the aborting step.
+    attach order (the aborting step's contacts included) and the inverted
+    bonds of the aborting step.
     """
     solver = ramp_solver(k, base, positions)
     top = positions[surface, 1].max()
@@ -1188,3 +1189,17 @@ class TestIndentationRamp:
         positions, k, base, top = self._asymmetric(what)
         with pytest.raises(ValueError, match=message):
             pd_core.run_indentation(positions, k, base, top, 4.0, np.array([0.1]))
+
+    def test_mirror_map_of_a_point_cloud(self):
+        # no lattice: the images are found by position alone
+        rng = np.random.default_rng(24)
+        right = rng.uniform([0.1, -5.0], [5.0, 5.0], (200, 2))
+        axis = np.column_stack([np.zeros(7), rng.uniform(-5.0, 5.0, 7)])
+        positions = rng.permutation(np.vstack([right, right * [-1.0, 1.0], axis]))
+        m = pd_core._mirror_map(positions)
+        np.testing.assert_array_equal(m[m], np.arange(len(positions)))
+        np.testing.assert_array_equal(positions[m] * [-1.0, 1.0], positions)
+        gap = min(np.diff(np.unique(positions[:, a])).min() for a in (0, 1))
+        positions[np.flatnonzero(positions[:, 0] > 0)[0], 1] += 1e-3 * gap
+        with pytest.raises(geo.GeometryError, match=r"^2 node\(s\) have no mirror image"):
+            pd_core._mirror_map(positions)
