@@ -558,8 +558,9 @@ def run_indent(run: Run) -> None:
         top_ids, bottom_ids = _edge_rows(positions, 0.5 * cfg.size_y, cfg.spacing)
         base = BCSet(len(positions))
         base.prescribe(bottom_ids, ux=0.0, uy=0.0)  # block rests on a rigid support
+        # K handed over, not kept: the ramp frees it once it has read it
         result = curves[variant] = pd_core.run_indentation(
-            positions, model.k, base, top_ids, cfg.indenter_radius, depths,
+            positions, vars(model).pop("k"), base, top_ids, cfg.indenter_radius, depths,
             bonds=model.bonds, tol=cfg.tol)
         vdir = run.out / variant
         write_curve_csv(vdir / "curve.csv", result.depths, result.forces, variant)

@@ -189,6 +189,7 @@ def _operator_reach(positions: np.ndarray, k: sp.spmatrix) -> np.ndarray:
         xc, xr = x[k.indices], x[rows]
         reach[a] = max(np.abs(np.maximum.reduceat(xc, starts) - xr).max(),
                        np.abs(xr - np.minimum.reduceat(xc, starts)).max())
+        del xc  # one axis's column positions alive at a time, each as long as K
     return reach
 
 
@@ -461,7 +462,8 @@ def reaction_force(k: sp.csr_matrix, u: np.ndarray, bcs: BCSet,
     """Sum of constraint residual forces (N) over the given nodes.
 
     Only the given nodes' rows of ``k`` are multiplied; each row sums its
-    entries in stored order, as the full product would.
+    entries in stored order, as the full product would. So ``k`` need hold
+    no other row: the indentation ramp keeps only ``K``'s surface rows.
     """
     rows = node_dofs(np.asarray(node_ids, dtype=int)).ravel()
     r = (k[rows] @ u.ravel() - bcs.loads.ravel()[rows]).reshape(-1, 2)
@@ -505,9 +507,11 @@ class InversionScreen:
         self.starts = np.searchsorted(cell_of[self.nodes], np.arange(ncell))
         a, b = cell_of[bonds.i], cell_of[bonds.j]
         key = np.minimum(a, b) * ncell + np.maximum(a, b)
+        del a, b  # each as long as the table, as are the keys below
         self.order = np.argsort(key, kind="stable")
-        pairs, first = np.unique(key[self.order], return_index=True)
-        self.cell_i, self.cell_j = np.divmod(pairs, ncell)
+        key = key[self.order]  # sorted, so each pair's first bond is where the key changes
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self.cell_i, self.cell_j = np.divmod(key[first], ncell)
         self.first, self.count = first, np.diff(np.append(first, bonds.m))
         self.shortest = np.minimum.reduceat(bonds.length[self.order], first)
         self.longest = bonds.length.max(initial=0.0)
@@ -539,7 +543,10 @@ class RampSolver:
     The stiffness is factorized once over the base free set by a
     :class:`MultifrontalCholesky` on the elimination ``tree``, a list of
     ``(node ids, child blocks)`` like :func:`nested_dissection`'s (both dofs
-    of a node together), with ``twin`` the factor's optional twin. Later
+    of a node together), with ``twin`` the factor's optional twin. The
+    constructor takes :meth:`reduced`'s split of the operator, not the
+    operator, so that a caller can drop the operator before the factor runs;
+    the solver keeps only the free block ``kff``. Later
     constraints (the stick-contact set) are enforced through a bordered Schur
     complement: each :meth:`add_constraints` call backsolves all of its new
     dofs in one multi-column solve, whose forward sweep visits only the fronts
@@ -552,17 +559,19 @@ class RampSolver:
     each round's residual taken from the sparse product.
     """
 
-    def __init__(self, k: sp.csr_matrix, base_bcs: BCSet, tree: list[tuple],
-                 twin=None, tol: float = 1e-10):
+    @staticmethod
+    def reduced(k: sp.csr_matrix, base_bcs: BCSet, tree: list[tuple]):
+        """:func:`_reduced` over the dofs of ``tree``'s nodes in tree order."""
+        return _reduced(k, base_bcs, node_dofs(np.concatenate([ids for ids, _ in tree])).ravel())
+
+    def __init__(self, split, tree: list[tuple], twin=None, tol: float = 1e-10):
         self.tol = tol
-        nodes = np.concatenate([ids for ids, _ in tree])
-        self.free, self.u_base, self.rhs, self.kff = _reduced(
-            k, base_bcs, node_dofs(nodes).ravel())
-        # each block's free dofs are consecutive in this numbering
-        sizes = [(~base_bcs.prescribed_mask[ids]).sum() for ids, _ in tree]
-        self.lu = MultifrontalCholesky(self.kff, sizes, [kids for _, kids in tree], twin)
-        self.local = np.full(k.shape[0], -1, dtype=np.int64)
+        self.free, self.u_base, self.rhs, self.kff = split
+        self.local = np.full(len(self.u_base), -1, dtype=np.int64)
         self.local[self.free] = np.arange(len(self.free))
+        # each block's free dofs are consecutive in this numbering
+        sizes = [(self.local[node_dofs(ids)] >= 0).sum() for ids, _ in tree]
+        self.lu = MultifrontalCholesky(self.kff, sizes, [kids for _, kids in tree], twin)
         self.y = self.lu.solve(self.rhs)       # unconstrained solution, cached
         self.r0 = self.rhs - self.kff @ self.y  # and its residual
         self._cols = np.empty((len(self.free), 0), order="F")
@@ -706,7 +715,10 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     ``u_x`` and even in ``u_y``; the surface maps onto itself. A failed check
     raises GeometryError naming it. Every fold below is a product of ``K_h``,
     the half's rows of ``K``, with maps of one signed entry per row: the
-    check's ``R_h K R^T - K_h`` and ``K_s = P^T K P = diag(rowfac) K_h P``.
+    check's ``R_h K R^T - K_h``, formed over eight blocks of half rows so
+    that its transient is an eighth of the whole product's (each row, and
+    so the check's verdict and message, is the same), and
+    ``K_s = P^T K P = diag(rowfac) K_h P``.
 
     ``K`` is positive definite on the base set's free dofs only if both
     ``K_s`` and its antisymmetric fold ``K_a = Q^T K Q`` are, ``Q`` keeping
@@ -722,9 +734,13 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     whose message names the antisymmetric fields.
 
     Returns the half's node ids, ``src`` (each node's half node, whose field
-    ``P`` gives it, negated in ``u_x`` unless ``ids[src]`` is the node), ``K_s``,
-    the half's base set (the half's own, plus ``u_x = 0`` on x = 0, with the
-    loads ``P^T f``), and :class:`RampSolver`'s ``tree`` and ``twin``.
+    ``P`` gives it, negated in ``u_x`` unless ``ids[src]`` is the node),
+    ``K``'s rows of the surface nodes with every other row empty (all that
+    the ramp's :func:`reaction_force` reads of ``K``), and ``folds``. That
+    function returns ``K_s``, the half's base set (the half's own, plus
+    ``u_x = 0`` on x = 0, with the loads ``P^T f``), and
+    :class:`RampSolver`'s ``tree`` and ``twin``. It reads ``K_h``, not
+    ``K``: a caller that drops ``K`` before calling it folds without ``K``.
     """
     n = len(positions)
     mirror = _mirror_map(positions)
@@ -740,11 +756,15 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
                              shape=(2 * n, width))
 
     r = signed(mirror, np.tile(_FLIP, n), 2 * n)
+    rt = r.T.tocsr()
     # the half's rows of R K R^T - K; the other rows are their images
-    d = r[hdof] @ k @ r.T - hk
+    sums = np.empty(len(hdof))
+    for b in np.array_split(np.arange(len(hdof)), 8):
+        d = r[hdof[b]] @ k @ rt - hk[b]
+        sums[b] = np.bincount(np.repeat(np.arange(len(b)), np.diff(d.indptr)), d.data ** 2,
+                              len(b))
     twice = np.repeat(np.where(axis[ids], 1.0, 2.0), 2)
-    asym = np.sqrt(twice @ np.bincount(np.repeat(np.arange(len(hdof)), np.diff(d.indptr)),
-                                      d.data ** 2, len(hdof))) / (np.linalg.norm(k.data) or 1.0)
+    asym = np.sqrt(twice @ sums) / (np.linalg.norm(k.data) or 1.0)
     if not asym <= 1e-12:
         raise GeometryError("the operator is not mirror-symmetric about x = 0: "
                             f"||R K R^T - K||_F / ||K||_F = {asym:.3g}")
@@ -766,6 +786,11 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
              "surface is not mirror-symmetric")):
         if broken:
             raise GeometryError(f"the indentation {what} about x = 0")
+    rows = node_dofs(surface).ravel()
+    top = k[rows]  # each row in its stored order
+    k_surface = sp.csr_matrix(
+        (top.data, top.indices, top.indptr[np.searchsorted(rows, np.arange(2 * n + 1))]),
+        shape=k.shape)
     src = np.searchsorted(ids, np.where(right | axis, np.arange(n), mirror))  # half node
 
     def fold(flip):
@@ -778,25 +803,29 @@ def _mirror_half(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
         return (signed(src, signs, 2 * len(ids)),
                 mask[ids] | (axis[ids, None] & ~keep), np.where(axis[ids, None], keep, 2.0))
 
-    p, held, rowfac = fold(_FLIP)
-    ks = sp.diags(rowfac.ravel()) @ (hk @ p)
-    ks.sort_indices()  # K_ff's products then sum each row in column order
-    q, held_a, rowfac_a = fold(-_FLIP)
-    # the strip is the root, its nodes whose held dofs differ (on x = 0) last
-    strip = positions[ids, 0] <= reach[0]
-    rest, band = np.flatnonzero(~strip), np.flatnonzero(strip)
-    differ = (held[band] != held_a[band]).any(axis=1)
-    band = band[np.argsort(differ, kind="stable")]
-    tree = [(rest[block], kids) for block, kids in nested_dissection(positions[ids[rest]], reach)]
-    tree.append((band, (len(tree) - 1,)))
-    # K_a's root unknowns: the shared ones in K_s's order, then its own
-    own = ~held_a[band]
-    dofs = node_dofs(band)[own]
-    twin = (sp.diags(rowfac_a.ravel()[dofs]) @ (hk[dofs] @ q)[:, dofs],
-            int(own[:len(band) - differ.sum()].sum()), "on fields antisymmetric about x = 0")
-    base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
-                 loads[ids] * rowfac)
-    return ids, src, ks, base, tree, twin
+    def folds():
+        p, held, rowfac = fold(_FLIP)
+        ks = sp.diags(rowfac.ravel()) @ (hk @ p)
+        ks.sort_indices()  # K_ff's products then sum each row in column order
+        q, held_a, rowfac_a = fold(-_FLIP)
+        # the strip is the root, its nodes whose held dofs differ (on x = 0) last
+        strip = positions[ids, 0] <= reach[0]
+        rest, band = np.flatnonzero(~strip), np.flatnonzero(strip)
+        differ = (held[band] != held_a[band]).any(axis=1)
+        band = band[np.argsort(differ, kind="stable")]
+        tree = [(rest[block], kids)
+                for block, kids in nested_dissection(positions[ids[rest]], reach)]
+        tree.append((band, (len(tree) - 1,)))
+        # K_a's root unknowns: the shared ones in K_s's order, then its own
+        own = ~held_a[band]
+        dofs = node_dofs(band)[own]
+        twin = (sp.diags(rowfac_a.ravel()[dofs]) @ (hk[dofs] @ q)[:, dofs],
+                int(own[:len(band) - differ.sum()].sum()), "on fields antisymmetric about x = 0")
+        base = BCSet(len(ids), held, np.where(axis[ids, None] & [True, False], 0.0, value[ids]),
+                     loads[ids] * rowfac)
+        return ks, base, tree, twin
+
+    return ids, src, k_surface, folds
 
 
 def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
@@ -828,14 +857,29 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     The scan goes through an :class:`InversionScreen` built once per ramp: it
     hands :func:`check_bond_inversion` only the bonds whose cell pair's
     displacement span could reverse them, and its result is the full scan's.
+
+    The ramp holds only what it reads. It keeps no reference to ``k`` once
+    :func:`_mirror_half` has taken its reach, its symmetry check, its half
+    rows and its surface rows: every stuck node is a surface node, so each
+    step's reaction sums the same rows in the same stored order. ``K_s`` goes
+    once :meth:`RampSolver.reduced` has split it, before the factor runs. So
+    a caller that passes its only reference to ``k`` frees ``K`` before the
+    folds, and the factor runs beside nothing but ``K_s``'s free block
+    (CPython 3.11 and later move a call's arguments into the callee's
+    frame; 3.10 keeps them on the caller's stack until the call returns).
     """
     surface_ids = np.asarray(surface_ids, dtype=int)
     top_y = positions[surface_ids, 1].max()
-    ids, src, ks, base, tree, twin = _mirror_half(positions, k, base_bcs, surface_ids)
+    ids, src, k_surface, folds = _mirror_half(positions, k, base_bcs, surface_ids)
+    del k  # the folds read K's half rows, the reaction its surface rows
+    ks, base, tree, twin = folds()
+    del folds  # and K's half rows with it
+    split = RampSolver.reduced(ks, base, tree)
+    del ks  # the factor reads only the free block
+    solver = RampSolver(split, tree, twin, tol=tol)
+    del split, tree, twin  # the solver keeps the split, not the tree or the twin's block
     half, pair = positions[ids], np.bincount(src, minlength=len(ids)) == 2
     sign = np.where((ids[src] != np.arange(len(src)))[:, None], _FLIP, 1.0)
-    solver = RampSolver(ks, base, tree, twin, tol=tol)
-    del ks, tree, twin  # the solver keeps K_s's free block
     screen = InversionScreen(positions, bonds) if bonds is not None else None
     surface = np.flatnonzero(np.isin(ids, surface_ids))
     u, v = np.zeros_like(positions), np.zeros_like(half)
@@ -870,7 +914,7 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
                 break
         u, v = u_new, v_new
         # prescribing the stuck nodes leaves the loads the reaction subtracts
-        force = reaction_force(k, u, base_bcs, stuck_ids)[1]
+        force = reaction_force(k_surface, u, base_bcs, stuck_ids)[1]
         out_depths.append(float(depth))
         out_forces.append(abs(float(force)))
         out_stuck.append(len(stuck_ids))

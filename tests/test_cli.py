@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import io
 import re
+import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -157,6 +158,33 @@ class TestTensionHarness:
         k = weakref.ref(model.k)
         del model
         assert k() is None
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments until it returns")
+def test_indent_frees_each_bond_operator_before_its_factor(tmp_path, monkeypatch):
+    # the runner hands K over and the ramp keeps only K's surface and half
+    # rows, so neither a bond variant's whole K nor its entries are alive
+    # when its ramp factor starts
+    built, alive = [], []
+    assemble, factor = pd_core.assemble, pd_core.MultifrontalCholesky.__init__
+
+    def recorded(*args):
+        k = assemble(*args)
+        built.append((weakref.ref(k), weakref.ref(k.data)))
+        return k
+
+    def checked(self, *args):
+        alive.append([ref() is not None for refs in built for ref in refs])
+        factor(self, *args)
+
+    monkeypatch.setattr(pd_core, "assemble", recorded)
+    monkeypatch.setattr(pd_core.MultifrontalCholesky, "__init__", checked)
+    bench_cli.RUNNERS["indent"](dataclasses.replace(
+        default_config("indent"), size_x=16.0, size_y=16.0, spacing=0.5, horizon=1.5,
+        indenter_radius=6.0, depth_max=1.0, depth_steps=8,
+        variants=("corrected", "uncorrected"), out=str(tmp_path)))
+    assert alive == [[False] * 2, [False] * 4]
 
 
 class TestCalibrateHarness:

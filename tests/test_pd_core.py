@@ -47,7 +47,7 @@ def small_model(nx=6, ny=6, spacing=1.0, horizon=2.5, surfaces="all"):
 def ramp_solver(k, base, positions, **kwargs):
     """A RampSolver on the nested-dissection tree of the nodes at ``positions``."""
     tree = pd_core.nested_dissection(positions, pd_core._operator_reach(positions, k))
-    return RampSolver(k, base, tree, **kwargs)
+    return RampSolver(RampSolver.reduced(k, base, tree), tree, **kwargs)
 
 
 def _assemble_reference(nodes, bonds, correction):
@@ -1019,6 +1019,18 @@ class TestIndentationRamp:
         assert np.array_equal(res.stuck_ids, stuck)
         assert np.array_equal(res.inverted_bonds, inverted)
 
+    @pytest.mark.parametrize("surfaces", ["all", None], ids=["corrected", "uncorrected"])
+    def test_force_is_the_whole_operator_reaction(self, surfaces):
+        # the ramp reads only K's surface rows, every stuck node being a
+        # surface node: the same rows, summed in the same order, give the
+        # whole K's reaction bit for bit; the uncorrected block aborts
+        nodes, bonds, k, base, top = self._setup(surfaces)
+        res = pd_core.run_indentation(nodes.positions, k, base, top, 4.0,
+                                      np.linspace(0.1, 1.6, 16), bonds=bonds)
+        assert res.failed == (surfaces is None)
+        stuck = res.stuck_ids[:res.stuck_counts[-1]]  # the last converged step's
+        assert res.forces[-1] == abs(pd_core.reaction_force(k, res.u_final, base, stuck)[1])
+
     @pytest.mark.parametrize("held", ["uy-at-bottom", "ux-at-sides"])
     def test_mechanism_of_either_parity_is_solver_failure(self, held):
         # held along y at the bottom only, the block slides along x, a field
@@ -1079,7 +1091,8 @@ class TestIndentationRamp:
         nodes, bonds, k, base, top = self._setup(surfaces, width)
         base.add_load(top, fy=-1.0)
         base.loads[top, 0] = 0.3 * np.sign(nodes.positions[top, 0])
-        ids, _, ks, half_base = pd_core._mirror_half(nodes.positions, k, base, top)[:4]
+        ids, _, _, folds = pd_core._mirror_half(nodes.positions, k, base, top)
+        ks, half_base = folds()[:2]
         half, p, _ = self._maps(nodes)
         ptkp = (p.T @ k @ p).tocsr()
         assert np.array_equal(ids, half) and ks.shape == ptkp.shape
@@ -1162,9 +1175,15 @@ class TestIndentationRamp:
             dofs = pd_core.node_dofs(keep).ravel()
             sub = BCSet(len(keep), base.prescribed_mask[keep], base.prescribed_value[keep])
             return positions[keep], k[dofs][:, dofs], sub, np.searchsorted(keep, top)
-        if what == "perturbed-pair":
-            # K = K^T still, but the pair couples two nodes of one side only
-            a, b = 2 * np.flatnonzero((x == 2.5) & (positions[:, 1] == 0))[0] + [0, 2]
+        if what.startswith("perturbed-pair"):
+            # K = K^T still, but the pair couples two nodes of one side only;
+            # the first (u_x) and last (u_y) half rows lie in the first and
+            # last of the symmetry check's row blocks
+            half = np.flatnonzero(x >= 0)
+            a, b = {"perturbed-pair": 2 * np.flatnonzero((x == 2.5) & (positions[:, 1] == 0))[0]
+                    + np.array([0, 2]),
+                    "perturbed-pair-first-half-row": 2 * half[0] + np.array([0, 2]),
+                    "perturbed-pair-last-half-row": 2 * half[-1] + 1 - np.array([0, 2])}[what]
             k = k.tolil()
             k[a, b] += 1e-6 * abs(k[a, a])
             k[b, a] += 1e-6 * abs(k[a, a])
@@ -1184,7 +1203,8 @@ class TestIndentationRamp:
         ("one-sided-base", r"prescribes a dof whose mirror image is free"),
         ("even-ux", r"prescribed values are not odd in u_x"),
         ("one-sided-surface", r"surface is not mirror-symmetric"),
-    ])
+    ] + [(f"perturbed-pair-{row}-half-row", r"^the operator is not mirror-symmetric about "
+          r"x = 0: \|\|R K R\^T - K\|\|_F / \|\|K\|\|_F = \d") for row in ("first", "last")])
     def test_asymmetric_set_up_is_refused(self, what, message):
         positions, k, base, top = self._asymmetric(what)
         with pytest.raises(ValueError, match=message):
