@@ -1180,10 +1180,10 @@ class TestIndentationRamp:
             # the first (u_x) and last (u_y) half rows lie in the first and
             # last of the symmetry check's row blocks
             half = np.flatnonzero(x >= 0)
-            a, b = {"perturbed-pair": 2 * np.flatnonzero((x == 2.5) & (positions[:, 1] == 0))[0]
-                    + np.array([0, 2]),
-                    "perturbed-pair-first-half-row": 2 * half[0] + np.array([0, 2]),
-                    "perturbed-pair-last-half-row": 2 * half[-1] + 1 - np.array([0, 2])}[what]
+            a = {"perturbed-pair": 2 * np.flatnonzero((x == 2.5) & (positions[:, 1] == 0))[0],
+                 "perturbed-pair-first-half-row": 2 * half[0],
+                 "perturbed-pair-last-half-row": 2 * half[-1] - 1}[what]
+            a, b = a + np.array([0, 2])
             k = k.tolil()
             k[a, b] += 1e-6 * abs(k[a, a])
             k[b, a] += 1e-6 * abs(k[a, a])
