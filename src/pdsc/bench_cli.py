@@ -21,8 +21,8 @@ lattice shared by the variants of its grid kind. The runner returns the
 filled ``Run``, which also renders ``summary.txt``. Every CSV goes through
 :func:`pdsc.geometry.write_csv`.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 every requested bond-model variant of ``indent`` aborted on inversion.
+Exit codes: 0 success, 2 configuration error, 3 solver failure or out of
+memory, 4 every requested bond-model variant of ``indent`` aborted on inversion.
 """
 
 from __future__ import annotations
@@ -168,6 +168,8 @@ def read_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -637,14 +639,14 @@ def main(argv=None) -> int:
                  "dump_bonds": True if args.dump_bonds else None}
     try:
         cfg = load_config(args.experiment, args.config, overrides)
-    except (ConfigError, GeometryError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         run = RUNNERS[cfg.experiment](cfg)
     except (ConfigError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy's names the allocation's size
+        print(f"solver failure: out of memory{detail}", file=sys.stderr)
+        return 3
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -227,7 +227,10 @@ class CorrectionField:
     phi_i: np.ndarray
     phi_j: np.ndarray
     bulk: np.ndarray
-    coeff: np.ndarray
+
+    @property
+    def coeff(self) -> np.ndarray:
+        return 0.5 * self.bulk * (self.phi_i + self.phi_j)
 
 
 def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
@@ -275,5 +278,4 @@ def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
         if np.any(phi_i > limit) or np.any(phi_j > limit):
             raise GeometryInconsistency(
                 "truncated horizon shorter than a bond; domain and bonds disagree")
-    return CorrectionField(phi_i=phi_i, phi_j=phi_j, bulk=bulk,
-                           coeff=0.5 * bulk * (phi_i + phi_j))
+    return CorrectionField(phi_i=phi_i, phi_j=phi_j, bulk=bulk)

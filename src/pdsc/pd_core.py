@@ -271,10 +271,10 @@ class MultifrontalCholesky:
     row of the right-hand side reaches (Gilbert & Peierls 1988; Liu 1990).
     Dense kernels run on scipy's BLAS only: numpy's own BLAS threads would
     fight it.
-    A factor that would not fit in :func:`_available_memory`, a front that is
-    not positive definite and a ``MemoryError`` raise :class:`SolverFailure`.
-    So does a mechanism whose pivots round to tiny positive values (see
-    :func:`_rcond_verdict`).
+    A factor that would not fit in :func:`_available_memory` raises
+    :class:`SolverFailure` before anything is allocated, and so do a front
+    that is not positive definite and a mechanism whose pivots round to tiny
+    positive values (see :func:`_rcond_verdict`).
     ``L.nnz`` (``U = L^T``) counts stored entries, zeros in the fronts too.
 
     ``twin = (b, r, name)`` also decides, in the same pass, whether a second
@@ -314,51 +314,48 @@ class MultifrontalCholesky:
         self.L = self.U = SimpleNamespace(nnz=int(nnz))
         self.fronts, updates = [], {}
         loc = np.empty(a.shape[0], dtype=np.int64)  # front position of each unknown
-        try:
-            for t, (s, e, bnd, kids) in enumerate(zip(starts, ends, bounds, children)):
-                p, m = e - s, e - s + len(bnd)
-                loc[s:e], loc[bnd] = np.arange(p), np.arange(p, m)
-                # the own columns, with F_BB apart so that dsyrk can overwrite
-                # it; own rows of A go in as columns (only the lower triangle
-                # is used), summed so that duplicate entries add up
-                span = slice(a.indptr[s], a.indptr[e])
-                cols = a.indices[span]
-                rows = np.repeat(np.arange(p), np.diff(a.indptr[s:e + 1]))
-                mine = cols >= s
-                at, val = loc[cols[mine]] + m * rows[mine], a.data[span][mine]
-                split = t == root and twin is not None  # B's root front needs the updates alone
-                f = (np.zeros((m, p), order="F") if split else
-                     np.bincount(at, val, m * p).reshape((m, p), order="F"))
-                fbb = np.zeros((m - p, m - p), order="F")
-                for c in kids:
-                    # by runs of consecutive positions, few on these fronts;
-                    # a run ends where F_BB begins
-                    pos, u = loc[bounds[c]], updates.pop(c)
-                    first = np.flatnonzero((np.diff(pos, prepend=-2) != 1) | (pos == p))
-                    for i, j in zip(first, [*first[1:], len(pos)]):
-                        if pos[i] < p:
-                            f[pos[i:], pos[i]:pos[i] + j - i] += u[i:, i:j]
-                        else:
-                            fbb[pos[i:] - p, pos[i] - p:pos[i] - p + j - i] += u[i:, i:j]
-                u = None  # freed before the dense factors
-                if split:
-                    self._decide_twin(t, f, twin)
-                    f += np.bincount(at, val, m * p).reshape((m, p), order="F")
-                if p == 0:  # a node with no unknowns passes its children's updates on
-                    updates[t] = fbb
-                    continue
-                try:
-                    # in place on a front without boundary, copied on the others
-                    l11 = cholesky(f[:p], lower=True, overwrite_a=True, check_finite=False)
-                except LinAlgError as exc:
-                    raise SolverFailure(f"the matrix is not positive definite at front "
-                                        f"{t} ({p} unknowns, {len(bnd)} boundary)") from exc
-                w = dtrsm(1.0, l11, f[p:], side=1, lower=1, trans_a=1)
-                if len(bnd):
-                    updates[t] = dsyrk(-1.0, w, beta=1.0, c=fbb, lower=1, overwrite_c=1)
-                self.fronts.append((s, e, bnd, l11, w))
-        except MemoryError as exc:
-            raise SolverFailure(f"out of memory factoring {a.shape[0]} unknowns") from exc
+        for t, (s, e, bnd, kids) in enumerate(zip(starts, ends, bounds, children)):
+            p, m = e - s, e - s + len(bnd)
+            loc[s:e], loc[bnd] = np.arange(p), np.arange(p, m)
+            # the own columns, with F_BB apart so that dsyrk can overwrite
+            # it; own rows of A go in as columns (only the lower triangle
+            # is used), summed so that duplicate entries add up
+            span = slice(a.indptr[s], a.indptr[e])
+            cols = a.indices[span]
+            rows = np.repeat(np.arange(p), np.diff(a.indptr[s:e + 1]))
+            mine = cols >= s
+            at, val = loc[cols[mine]] + m * rows[mine], a.data[span][mine]
+            split = t == root and twin is not None  # B's root front needs the updates alone
+            f = (np.zeros((m, p), order="F") if split else
+                 np.bincount(at, val, m * p).reshape((m, p), order="F"))
+            fbb = np.zeros((m - p, m - p), order="F")
+            for c in kids:
+                # by runs of consecutive positions, few on these fronts;
+                # a run ends where F_BB begins
+                pos, u = loc[bounds[c]], updates.pop(c)
+                first = np.flatnonzero((np.diff(pos, prepend=-2) != 1) | (pos == p))
+                for i, j in zip(first, [*first[1:], len(pos)]):
+                    if pos[i] < p:
+                        f[pos[i:], pos[i]:pos[i] + j - i] += u[i:, i:j]
+                    else:
+                        fbb[pos[i:] - p, pos[i] - p:pos[i] - p + j - i] += u[i:, i:j]
+            u = None  # freed before the dense factors
+            if split:
+                self._decide_twin(t, f, twin)
+                f += np.bincount(at, val, m * p).reshape((m, p), order="F")
+            if p == 0:  # a node with no unknowns passes its children's updates on
+                updates[t] = fbb
+                continue
+            try:
+                # in place on a front without boundary, copied on the others
+                l11 = cholesky(f[:p], lower=True, overwrite_a=True, check_finite=False)
+            except LinAlgError as exc:
+                raise SolverFailure(f"the matrix is not positive definite at front "
+                                    f"{t} ({p} unknowns, {len(bnd)} boundary)") from exc
+            w = dtrsm(1.0, l11, f[p:], side=1, lower=1, trans_a=1)
+            if len(bnd):
+                updates[t] = dsyrk(-1.0, w, beta=1.0, c=fbb, lower=1, overwrite_c=1)
+            self.fronts.append((s, e, bnd, l11, w))
         refused = _rcond_verdict(np.diag(f[3]) for f in self.fronts)
         if refused:
             raise SolverFailure(refused)
@@ -680,7 +677,6 @@ class IndentationResult:
     u_final: np.ndarray              # last converged displacement field
     stuck_ids: np.ndarray            # stuck nodes of the whole lattice, attach order
     stuck_counts: np.ndarray         # len(stuck_ids) per converged depth
-    iterations: list                 # refinement rounds per converged depth
 
 
 _FLIP = np.array([-1.0, 1.0])  # the mirror x -> -x acting on (u_x, u_y)
@@ -886,7 +882,7 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
     stuck, offsets = np.empty(0, dtype=int), np.empty((0, 2))  # on the half
     held = np.stack([pair, np.ones_like(pair)], axis=1)  # each half node's dofs a contact holds
     stuck_ids = np.empty(0, dtype=int)  # whole block
-    out_depths, out_forces, out_stuck, iters = [], [], [], []
+    out_depths, out_forces, out_stuck = [], [], []
     failure_depth = None
     inverted = np.empty(0, dtype=int)
     for depth in np.asarray(depths, dtype=float):
@@ -903,7 +899,7 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
         stuck_ids = np.concatenate([stuck_ids, np.flatnonzero(np.isin(src, newly))])
         target = center[None, :] + offsets - half[stuck]
         try:
-            v_new, diag = solver.solve(target[held[stuck]])
+            v_new, _ = solver.solve(target[held[stuck]])
         except SolverFailure as exc:
             raise SolverFailure(f"at depth {depth:g} mm: {exc}") from exc
         u_new = v_new[src] * sign
@@ -918,9 +914,8 @@ def run_indentation(positions: np.ndarray, k: sp.csr_matrix, base_bcs: BCSet,
         out_depths.append(float(depth))
         out_forces.append(abs(float(force)))
         out_stuck.append(len(stuck_ids))
-        iters.append(diag.iterations)
     return IndentationResult(
         depths=np.array(out_depths), forces=np.array(out_forces),
         failed=failure_depth is not None, failure_depth=failure_depth,
         inverted_bonds=inverted, u_final=u, stuck_ids=stuck_ids,
-        stuck_counts=np.array(out_stuck, dtype=int), iterations=iters)
+        stuck_counts=np.array(out_stuck, dtype=int))

@@ -326,6 +326,24 @@ class TestMainExitCodes:
         assert re.fullmatch(r"solver failure: the factor of \d+ unknowns needs about "
                             r"\S+ GB, more than the 0.001 GB available\n", err)
 
+    @pytest.mark.parametrize("owner, attr, text", [
+        (geometry, "build_bonds", "Unable to allocate 1.00 GiB for an array"),
+        (material, "correct_bonds", "Unable to allocate 1.00 GiB for an array"),
+        (pd_core, "assemble", "Unable to allocate 1.00 GiB for an array"),
+        (pd_core, "cholesky", ""),  # a MemoryError without text ends the line there
+    ], ids=["build_bonds", "correct_bonds", "assemble", "cholesky"])
+    def test_out_of_memory_in_any_phase_is_3(self, tmp_path, capsys, monkeypatch,
+                                             owner, attr, text):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(text)
+        monkeypatch.setattr(owner, attr, exhausted)
+        p = tmp_path / "indent.cfg"
+        p.write_text("size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
+                     "indenter_radius = 6\ndepth_max = 1.0\ndepth_steps = 8\n")
+        assert main(["indent", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"solver failure: out of memory{': ' + text if text else ''}\n"
+
     def test_asymmetric_indent_is_2(self, tmp_path, capsys, monkeypatch):
         # no valid config builds one, so one corner leaves the punched surface
         real = pd_core.run_indentation
