@@ -12,16 +12,17 @@ file (plus CLI overrides) with plot-ready CSV artifacts per variant:
 * ``calibrate`` bulk-amplitude calibration report for both radial profiles
                 and both calibration modes.
 
-Each ``run_<name>(cfg) -> Run`` is a body decorated with :func:`experiment`,
-which registers it in ``RUNNERS`` and supplies what every run shares: the
-output directory, the wall-time clock and ``summary.txt``. The body fills the
-metrics and the artifact list of a :class:`Run`, whose :meth:`Run.model`
-builds every variant's operator: the FEM reference, or a bond model on a
-lattice shared by the variants of its grid kind. The runner returns the
-filled ``Run``, which also renders ``summary.txt``. Every CSV goes through
-:func:`pdsc.geometry.write_csv`.
+Each ``run_<name>(cfg) -> Run`` is a body decorated with ``@experiment(variants,
+grid)``, which declares the experiment's variants and shipped grid, registers
+the runner in ``RUNNERS`` and supplies what every run shares: the output
+directory, the wall-time clock and ``summary.txt``. The body fills the metrics
+of a :class:`Run` and takes each artifact's path from :meth:`Run.artifact`;
+:meth:`Run.model` builds every variant's operator: the FEM reference, or a
+bond model on a lattice shared by the variants of its grid kind. The runner
+returns the filled ``Run``, which also renders ``summary.txt``. Every CSV goes
+through :func:`pdsc.geometry.write_csv`.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure or out of
+Exit codes: 0 success, 2 configuration or geometry error, 3 solver failure or out of
 memory, 4 every requested bond-model variant of ``indent`` aborted on inversion.
 """
 
@@ -48,17 +49,6 @@ from .pd_core import BCSet, SolverFailure
 
 class ConfigError(ValueError):
     """Malformed configuration file, key or value."""
-
-
-# per experiment: its variants and its shipped size_x, size_y, spacing, horizon (mm)
-EXPERIMENTS = {
-    "tension": (("uncorrected", "corrected"), (50.0, 100.0, 1.0, 5.0)),
-    "clamped": (("fem", "uncorrected", "corrected", "virtual_nodes",
-                 "virtual_nodes_corrected_sides"),
-                (4.0, 4.0, 1.0 / 6, 1.0)),      # four horizons, m = 1/6
-    "indent": (("fem", "corrected", "uncorrected"), (40.0, 40.0, 0.25, 1.5)),
-    "calibrate": ((), (50.0, 100.0, 1.0, 5.0)),
-}
 
 
 @dataclass(frozen=True)
@@ -275,6 +265,8 @@ def edge_traction_loads(bcs: BCSet, node_ids: np.ndarray, positions: np.ndarray,
 # Experiment scaffold
 # ---------------------------------------------------------------------------
 
+# filled by @experiment: name -> (variants, shipped grid), name -> runner
+EXPERIMENTS = {}
 RUNNERS = {}
 
 # surfaces each bond variant corrects; the others are uncorrected
@@ -312,10 +304,15 @@ class Run:
         self.cfg = cfg
         self.out = Path(cfg.out)
         self.metrics = {}
-        self.artifacts = []
+        self.artifacts = []      # written only by artifact()
         self.wall_seconds = 0.0
         self.elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
         self._virtual = self._lattice = self._material = None
+
+    def artifact(self, rel: str) -> Path:
+        """List ``rel`` in the report and return its path under the output directory."""
+        self.artifacts.append(rel)
+        return self.out / rel
 
     def release(self) -> None:
         """Drop the lattice; the report stays."""
@@ -380,43 +377,48 @@ class Run:
         corr = material.correct_bonds(bonds, nodes, self.domain, self.material(),
                                       _SURFACES.get(variant))
         if cfg.dump_bonds:
-            geometry.write_bonds_csv(self.out / variant / "bonds.csv", bonds, corr)
-            self.artifacts.append(f"{variant}/bonds.csv")
+            geometry.write_bonds_csv(self.artifact(f"{variant}/bonds.csv"), bonds, corr)
         return Model(nodes.positions, pd_core.assemble(nodes, bonds, corr),
                      lambda u: pd_core.strain_energy_density(nodes, bonds, corr, u),
                      nodes, bonds)
 
 
-def experiment(body):
-    """Register ``body(run)`` as the runner ``run_<name>(cfg) -> Run``.
+def experiment(variants: tuple[str, ...], grid: tuple[float, float, float, float]):
+    """Declare the variants and the shipped grid of ``run_<name>(run)``, and its runner.
 
-    The runner creates the output directory with one subdirectory per
-    variant, lets ``body`` fill a fresh :class:`Run`, times the whole run
-    into ``summary.txt`` and returns the run with its lattice released.
+    ``EXPERIMENTS[name]`` gets ``(variants, grid)``, ``grid`` being the shipped
+    ``(size_x, size_y, spacing, horizon)`` in mm, and ``RUNNERS[name]`` the
+    runner ``run_<name>(cfg) -> Run``. The runner creates the output directory
+    with one subdirectory per variant, lets the body fill a fresh :class:`Run`,
+    times the whole run into ``summary.txt`` and returns the run with its
+    lattice released.
     """
-    name = body.__name__.removeprefix("run_")
+    def register(body):
+        name = body.__name__.removeprefix("run_")
 
-    def runner(cfg: ExperimentConfig) -> Run:
-        t0 = time.perf_counter()
-        run = Run(name, cfg)
-        try:
-            for d in (run.out, *(run.out / v for v in cfg.variants)):
-                d.mkdir(parents=True, exist_ok=True)
-            if not os.access(run.out, os.W_OK):
-                raise PermissionError("not writable")
-        except OSError as exc:
-            raise ConfigError(f"cannot write the output directory {run.out}: "
-                              f"{exc.strerror or exc}") from exc
-        body(run)
-        run.wall_seconds = time.perf_counter() - t0
-        (run.out / "summary.txt").write_text(run.to_text())
-        run.release()
-        return run
+        def runner(cfg: ExperimentConfig) -> Run:
+            t0 = time.perf_counter()
+            run = Run(name, cfg)
+            try:
+                for d in (run.out, *(run.out / v for v in cfg.variants)):
+                    d.mkdir(parents=True, exist_ok=True)
+                if not os.access(run.out, os.W_OK):
+                    raise PermissionError("not writable")
+            except OSError as exc:
+                raise ConfigError(f"cannot write the output directory {run.out}: "
+                                  f"{exc.strerror or exc}") from exc
+            body(run)
+            run.wall_seconds = time.perf_counter() - t0
+            (run.out / "summary.txt").write_text(run.to_text())
+            run.release()
+            return run
 
-    runner.__name__ = runner.__qualname__ = body.__name__
-    runner.__doc__ = body.__doc__
-    RUNNERS[name] = runner
-    return runner
+        runner.__name__ = runner.__qualname__ = body.__name__
+        runner.__doc__ = body.__doc__
+        EXPERIMENTS[name] = (variants, grid)
+        RUNNERS[name] = runner
+        return runner
+    return register
 
 
 def _nonempty(ids: np.ndarray, what: str) -> np.ndarray:
@@ -437,7 +439,7 @@ def _edge_rows(positions: np.ndarray, half_y: float, spacing: float):
 # Experiments
 # ---------------------------------------------------------------------------
 
-@experiment
+@experiment(("uncorrected", "corrected"), (50.0, 100.0, 1.0, 5.0))
 def run_tension(run: Run) -> None:
     """Uniaxial traction on a rectangular sheet vs the closed-form field."""
     cfg = run.cfg
@@ -464,17 +466,14 @@ def run_tension(run: Run) -> None:
     metrics = run.metrics
     metrics.update({"effective_modulus": e_eff, "effective_poisson": nu_eff,
                     "nodes": nodes.n, "bonds": bonds.m})
-    geometry.write_nodes_csv(run.out / "nodes.csv", nodes)
-    run.artifacts.append("nodes.csv")
+    geometry.write_nodes_csv(run.artifact("nodes.csv"), nodes)
     for variant in cfg.variants:
         model = run.model(variant)
         u, diag = pd_core.solve_static(model.k, bcs, tol=cfg.tol)
         err, included, max_err = analytic.relative_error_field(u, u_ref)
-        vdir = run.out / variant
-        write_fields_csv(vdir / "fields.csv", nodes.positions, u,
+        write_fields_csv(run.artifact(f"{variant}/fields.csv"), nodes.positions, u,
                          model.energy_density(u), f"pd_{variant}")
-        write_errors_csv(vdir / "errors.csv", nodes.positions, err, included)
-        run.artifacts += [f"{variant}/fields.csv", f"{variant}/errors.csv"]
+        write_errors_csv(run.artifact(f"{variant}/errors.csv"), nodes.positions, err, included)
         metrics[f"{variant}.max_err_ux"] = float(max_err[0])
         metrics[f"{variant}.max_err_uy"] = float(max_err[1])
         metrics[f"{variant}.excluded_ux"] = int((~included[:, 0]).sum())
@@ -484,7 +483,9 @@ def run_tension(run: Run) -> None:
         del model  # free the operator before the next variant is corrected and assembled
 
 
-@experiment
+@experiment(("fem", "uncorrected", "corrected", "virtual_nodes",
+             "virtual_nodes_corrected_sides"),
+            (4.0, 4.0, 1.0 / 6, 1.0))      # four horizons, m = 1/6
 def run_clamped(run: Run) -> None:
     """Clamped-edge stretching of a square sheet vs the FEM reference."""
     cfg = run.cfg
@@ -495,11 +496,10 @@ def run_clamped(run: Run) -> None:
     stresses = []
 
     for variant in cfg.variants:
-        vdir = run.out / variant
         virtual = variant.startswith("virtual_nodes")
         if variant != "fem":
-            geometry.write_nodes_csv(vdir / "nodes.csv", run.lattice(virtual)[0])
-            run.artifacts.append(f"{variant}/nodes.csv")
+            geometry.write_nodes_csv(run.artifact(f"{variant}/nodes.csv"),
+                                     run.lattice(virtual)[0])
         model = run.model(variant)
         positions = model.positions
         if virtual:
@@ -525,8 +525,7 @@ def run_clamped(run: Run) -> None:
             metrics[f"{variant}.energy_real"] = float(energy[real].sum())
             metrics[f"{variant}.energy_virtual"] = float(energy[~real].sum())
         peak = positions[np.flatnonzero(real)[np.argmax(w[real])]]
-        write_fields_csv(vdir / "fields.csv", positions, u, w, variant)
-        run.artifacts.append(f"{variant}/fields.csv")
+        write_fields_csv(run.artifact(f"{variant}/fields.csv"), positions, u, w, variant)
         stresses.append((variant, stress))
         metrics[f"{variant}.tensile_stress"] = stress
         metrics[f"{variant}.corner_energy_peak"] = bool(
@@ -534,15 +533,14 @@ def run_clamped(run: Run) -> None:
         metrics[f"{variant}.solver_iterations"] = diag.iterations
         metrics[f"{variant}.solver_residual"] = diag.residual
         del model  # free the operator before the next variant is corrected and assembled
-    write_stress_csv(run.out / "stresses.csv", stresses)
-    run.artifacts.append("stresses.csv")
+    write_stress_csv(run.artifact("stresses.csv"), stresses)
     if "fem" in cfg.variants:
         for variant, stress in stresses:
             if variant != "fem":
                 metrics[f"{variant}.stress_vs_fem"] = stress / metrics["fem.tensile_stress"]
 
 
-@experiment
+@experiment(("fem", "corrected", "uncorrected"), (40.0, 40.0, 0.25, 1.5))
 def run_indent(run: Run) -> None:
     """Circular-punch indentation: FEM reference vs bond models."""
     cfg = run.cfg
@@ -564,11 +562,11 @@ def run_indent(run: Run) -> None:
         result = curves[variant] = pd_core.run_indentation(
             positions, vars(model).pop("k"), base, top_ids, cfg.indenter_radius, depths,
             bonds=model.bonds, tol=cfg.tol)
-        vdir = run.out / variant
-        write_curve_csv(vdir / "curve.csv", result.depths, result.forces, variant)
+        write_curve_csv(run.artifact(f"{variant}/curve.csv"), result.depths, result.forces,
+                        variant)
         w = model.energy_density(result.u_final)
-        write_fields_csv(vdir / "fields.csv", positions, result.u_final, w, variant)
-        run.artifacts += [f"{variant}/curve.csv", f"{variant}/fields.csv"]
+        write_fields_csv(run.artifact(f"{variant}/fields.csv"), positions, result.u_final, w,
+                         variant)
         converged = len(result.depths) > 0
         metrics[f"{variant}.steps_converged"] = len(result.depths)
         metrics[f"{variant}.final_depth"] = float(result.depths[-1]) if converged else 0.0
@@ -598,7 +596,7 @@ def run_indent(run: Run) -> None:
         pd_variants and all(curves[v].failed for v in pd_variants))
 
 
-@experiment
+@experiment((), (50.0, 100.0, 1.0, 5.0))
 def run_calibrate(run: Run) -> None:
     """Report bulk amplitudes and affine energy-match residuals."""
     cfg = run.cfg

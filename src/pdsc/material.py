@@ -44,10 +44,6 @@ _ANGULAR_FOURTH_MOMENT = 3.0 * np.pi / 4.0
 PROFILE_KINDS = ("constant", "conical")
 
 
-class GeometryInconsistency(RuntimeError):
-    """A truncated horizon length is non-positive or shorter than its bond."""
-
-
 @dataclass(frozen=True)
 class ElasticParams:
     """Isotropic reference constants; Poisson's ratio is fixed at ``POISSON``."""
@@ -121,9 +117,8 @@ class MaterialModel:
     bulk_amplitude: float          # c0
 
     @classmethod
-    def calibrated(cls, elastic: ElasticParams, horizon: float,
-                   profile_kind: str = "constant", mode: str = "discrete",
-                   spacing: float | None = None) -> "MaterialModel":
+    def calibrated(cls, elastic: ElasticParams, horizon: float, profile_kind: str,
+                   mode: str, spacing: float | None) -> "MaterialModel":
         profile = MicromodulusProfile(profile_kind)
         c0 = calibrate_bulk(elastic, profile_kind, horizon, mode, spacing)
         return cls(elastic, horizon, profile, c0)
@@ -144,8 +139,8 @@ def lattice_offsets(horizon: float, spacing: float) -> np.ndarray:
     return ij[keep]
 
 
-def calibrate_bulk(params: ElasticParams, profile_kind: str, horizon: float,
-                   mode: str = "continuum", spacing: float | None = None) -> float:
+def calibrate_bulk(params: ElasticParams, profile_kind: str, horizon: float, mode: str,
+                   spacing: float | None = None) -> float:
     """Bulk amplitude c0 from affine energy matching.
 
     ``continuum`` evaluates the matching integral over the full horizon
@@ -210,7 +205,7 @@ def correction_factors(points: np.ndarray, directions: np.ndarray, domain: Domai
     """
     d = truncated_lengths(points, directions, domain, horizon, edge_indices)
     if np.any(d <= 0):
-        raise GeometryInconsistency("non-positive truncated length")
+        raise GeometryError("non-positive truncated length")
     full = profile.radial_moment(horizon, horizon)
     return full / profile.radial_moment(d, horizon)
 
@@ -243,9 +238,10 @@ def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
     caller; bonds ending on a virtual node always use phi == 1 on the
     virtual side.
 
-    Every real bond end must lie inside or on the domain (GeometryError
-    otherwise), but rays are cast only from the ends within the horizon, plus
-    a rounding slack, of an active edge. In a convex body a ray meets an edge
+    Every real bond end must lie inside or on the domain, and no truncated
+    horizon may be shorter than its bond (GeometryError otherwise). Rays are
+    cast only from the ends within the horizon, plus a rounding slack, of an
+    active edge. In a convex body a ray meets an edge
     no nearer than the edge segment itself, so every other end's rays would
     reach the horizon and give phi == 1, which it keeps.
     """
@@ -276,6 +272,6 @@ def correct_bonds(bonds: BondTable, nodes: NodeSet, domain: Domain,
         limit = (1 + 1e-12) * full / material.profile.radial_moment(
             bonds.length * (1 - 1e-9), bonds.horizon)
         if np.any(phi_i > limit) or np.any(phi_j > limit):
-            raise GeometryInconsistency(
+            raise GeometryError(
                 "truncated horizon shorter than a bond; domain and bonds disagree")
     return CorrectionField(phi_i=phi_i, phi_j=phi_j, bulk=bulk)

@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("tension", overrides={"variants": ("fem",)})
 
+    def test_no_experiment_rejected(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("spacing = 2.0\n")
+        with pytest.raises(ConfigError, match="no experiment given"):
+            load_config(None, p)
+
     def test_cli_overrides_config(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("experiment = tension\nout = from_file\n")
@@ -284,6 +290,11 @@ class TestMainExitCodes:
         ("tension", "tol = -1\n"),
         ("indent", "size_x = 16\nsize_y = 16\nspacing = 0.5\nhorizon = 1.5\n"
                    "indenter_radius = 6\ndepth_max = 1.0\ndepth_steps = 8\ntol = 1\n"),
+        ("tension", "profile = cone\n"),
+        ("tension", "calibration = exact\n"),
+        ("indent", "depth_steps = 0\n"),
+        ("tension", "dump_bonds = maybe\n"),
+        ("tension", "spacing 1.0\n"),
     ], ids=["tension-empty-edge", "tension-no-axis", "zero-modulus",
             "negative-modulus", "zero-thickness", "spacing-over-horizon",
             "spacing-at-horizon", "clamped-not-square", "clamped-fem-off-grid",
@@ -291,7 +302,9 @@ class TestMainExitCodes:
             "indent-zero-depth", "indent-depth-over-radius", "indent-depth-at-radius",
             "indent-chord-over-block", "indent-off-centre", "nan-spacing", "inf-horizon", "nan-depth",
             "repeated-variant", "tension-no-variant", "clamped-no-variant",
-            "indent-no-variant", "clamped-zero-strain", "zero-tol", "negative-tol", "unit-tol"])
+            "indent-no-variant", "clamped-zero-strain", "zero-tol", "negative-tol", "unit-tol",
+            "unknown-profile", "unknown-calibration", "zero-depth-steps",
+            "non-boolean-dump-bonds", "line-without-equals"])
     def test_bad_geometry_or_material_is_2(self, tmp_path, capsys, experiment, text):
         p = tmp_path / "bad.cfg"
         p.write_text(text)
@@ -344,6 +357,16 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err == f"solver failure: out of memory{': ' + text if text else ''}\n"
 
+    def test_surface_under_a_buffer_is_2(self, tmp_path, capsys, monkeypatch):
+        # no shipped variant corrects the +-y edges its virtual buffers cover
+        monkeypatch.setitem(bench_cli._SURFACES, "virtual_nodes", "all")
+        p = tmp_path / "clamped.cfg"
+        p.write_text("size_x = 2\nsize_y = 2\nspacing = 0.25\nhorizon = 0.75\n"
+                     "variants = virtual_nodes\n")
+        assert main(["clamped", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("configuration error: truncated horizon shorter "
+                                           "than a bond; domain and bonds disagree\n")
+
     def test_asymmetric_indent_is_2(self, tmp_path, capsys, monkeypatch):
         # no valid config builds one, so one corner leaves the punched surface
         real = pd_core.run_indentation
@@ -369,12 +392,14 @@ class TestMainExitCodes:
         p = tmp_path / "indent.cfg"
         p.write_text(
             "experiment = indent\nspacing = 0.5\nhorizon = 3.0\n"
-            "depth_steps = 40\nvariants = uncorrected\n"
+            "depth_steps = 40\nvariants = uncorrected\ndump_bonds = off\n"
             f"out = {tmp_path / 'run'}\n")
         code = main(["indent", "--config", str(p)])
         assert code == 4
         summary = (tmp_path / "run" / "summary.txt").read_text()
         assert "uncorrected.aborted_on_inversion = True" in summary
+        assert "dump_bonds = False" in summary
+        assert not (tmp_path / "run" / "uncorrected" / "bonds.csv").exists()
 
     def test_indent_with_surviving_variant_is_0(self, tmp_path):
         # the expected uncorrected abort is not a harness failure when a

@@ -312,6 +312,19 @@ class TestRayScreen:
         with pytest.raises(geo.GeometryError, match="ray origin lies outside the domain"):
             mat.correct_bonds(bonds, out, dom, m, ("-x", "+x"))
 
+    def test_surface_under_a_buffer_is_refused(self):
+        # the bonds into the +y buffer cross the +y edge, which truncates
+        # their horizons short of them once that edge is corrected
+        dom = Domain.rectangle(4.0, 4.0)
+        nodes = geo.add_virtual_layers(
+            geo.build_grid(dom, GridSpec.cell_centered(dom, 0.5)), dom, "+y", 3)
+        bonds = geo.build_bonds(nodes, 1.5)
+        m = MaterialModel.calibrated(ElasticParams(E, T), 1.5, "constant", "discrete", 0.5)
+        for surfaces in (None, ("-x", "+x")):  # the shipped virtual variants
+            mat.correct_bonds(bonds, nodes, dom, m, surfaces)
+        with pytest.raises(geo.GeometryError, match="truncated horizon shorter than a bond"):
+            mat.correct_bonds(bonds, nodes, dom, m, "all")
+
 
 class TestSurfaceSoftening:
     def test_uncorrected_surface_energy_deficit(self):

@@ -634,6 +634,19 @@ class TestMultifrontalCholesky:
         assert type(lu.L.nnz) is int and type(lu.U.nnz) is int
         assert lu.L.nnz == lu.U.nnz == expect > 0
 
+    def test_twin_rcond_refusal_names_the_twin(self):
+        # A is SPD; the root's update -A_21 A_11^-1 A_12 = diag(-0.25, 0) is
+        # exact, so B's root block b plus the update is exactly diag(1, 1e-20):
+        # positive pivots 1 and 1e-10, whose rcond estimate 1e-20 is refused
+        a = sp.csr_matrix(np.array([[1.0, 0.0, 0.5, 0.0],
+                                    [0.0, 1.0, 0.0, 0.0],
+                                    [0.5, 0.0, 1.0, 0.0],
+                                    [0.0, 0.0, 0.0, 1.0]]))
+        b = sp.csr_matrix(np.diag([1.25, 1e-20]))
+        pd_core.MultifrontalCholesky(a, [2, 2], [(), (0,)])
+        with pytest.raises(SolverFailure, match=r"^the twin, .*rcond estimate"):
+            pd_core.MultifrontalCholesky(a, [2, 2], [(), (0,)], twin=(b, 2, "the twin"))
+
     def _no_shear(self):
         # horizon 1.2 at spacing 1: nearest-neighbour bonds only, so the
         # lattice has no shear stiffness and the clamped block is singular
