@@ -61,7 +61,6 @@ class ExperimentConfig:
     horizon: float
     profile: str = "constant"
     youngs_modulus: float = 1000.0       # MPa
-    thickness: float = 1.0               # mm
     traction: float = 1.0                # MPa, tension experiment
     strain: float = 0.01                 # clamped experiment
     indenter_radius: float = 15.0        # mm
@@ -99,8 +98,8 @@ class ExperimentConfig:
                               "bonds alone carry no shear")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tol must lie strictly between 0 and 1")
-        if self.youngs_modulus <= 0 or self.thickness <= 0:
-            raise ConfigError("youngs_modulus and thickness must be positive")
+        if self.youngs_modulus <= 0:
+            raise ConfigError("youngs_modulus must be positive")
         if self.experiment == "clamped" and self.size_y != self.size_x:
             raise ConfigError("clamped needs a square sheet: size_y must equal size_x")
         if self.experiment == "clamped" and self.strain == 0:
@@ -250,7 +249,7 @@ def _edge_weights(coords: np.ndarray) -> np.ndarray:
 
 
 def edge_traction_loads(bcs: BCSet, node_ids: np.ndarray, positions: np.ndarray,
-                        traction: float, thickness: float) -> None:
+                        traction: float) -> None:
     """Distribute a uniform y traction over the nodes of a horizontal edge.
 
     End nodes carry half weight so the resultant equals traction times the
@@ -258,7 +257,7 @@ def edge_traction_loads(bcs: BCSet, node_ids: np.ndarray, positions: np.ndarray,
     """
     ids = np.asarray(node_ids)[np.argsort(positions[node_ids, 0])]
     w = _edge_weights(positions[ids, 0])
-    bcs.add_load(ids, fy=traction * thickness * w)
+    bcs.add_load(ids, fy=traction * w)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ class Run:
         self.metrics = {}
         self.artifacts = []      # written only by artifact()
         self.wall_seconds = 0.0
-        self.elastic = ElasticParams(cfg.youngs_modulus, cfg.thickness)
+        self.elastic = ElasticParams(cfg.youngs_modulus)
         self._virtual = self._lattice = self._material = None
 
     def artifact(self, rel: str) -> Path:
@@ -335,7 +334,7 @@ class Run:
 
     @functools.cached_property
     def domain(self) -> Domain:  # built on first use: calibrate never needs the sheet
-        return Domain.rectangle(self.cfg.size_x, self.cfg.size_y, thickness=self.cfg.thickness)
+        return Domain.rectangle(self.cfg.size_x, self.cfg.size_y)
 
     def material(self) -> MaterialModel:
         if self._material is None:
@@ -451,8 +450,8 @@ def run_tension(run: Run) -> None:
 
     bcs = BCSet(nodes.n)
     top, bottom = _edge_rows(nodes.positions, 0.5 * cfg.size_y, cfg.spacing)
-    edge_traction_loads(bcs, top, nodes.positions, cfg.traction, cfg.thickness)
-    edge_traction_loads(bcs, bottom, nodes.positions, -cfg.traction, cfg.thickness)
+    edge_traction_loads(bcs, top, nodes.positions, cfg.traction)
+    edge_traction_loads(bcs, bottom, nodes.positions, -cfg.traction)
     # pin rigid modes on the symmetry axis where the reference is zero anyway
     center = int(np.argmin(np.linalg.norm(nodes.positions, axis=1)))
     axis_nodes = _nonempty(
@@ -515,9 +514,8 @@ def run_clamped(run: Run) -> None:
         bcs.prescribe(held, ux=0.0, uy=-edge_disp)
         u, diag = pd_core.solve_static(model.k, bcs, tol=cfg.tol)
         w = model.energy_density(u)
-        # |F| over the undeformed cross-section (MPa)
-        stress = float(abs(pd_core.reaction_force(model.k, u, bcs, pulled)[1])
-                       / (cfg.size_x * cfg.thickness))
+        # |F| over the undeformed cross-section, size_x long and 1 mm thick (MPa)
+        stress = float(abs(pd_core.reaction_force(model.k, u, bcs, pulled)[1]) / cfg.size_x)
         real = np.ones(len(positions), dtype=bool)
         if model.nodes is not None:
             real = model.nodes.real_mask

@@ -66,7 +66,7 @@ def element_stiffness(spacing: float, law: ElasticParams) -> np.ndarray:
             b[1, 1::2] = dndx[:, 1]
             b[2, 0::2] = dndx[:, 1]
             b[2, 1::2] = dndx[:, 0]
-            ke += b.T @ d @ b * half * half * law.thickness
+            ke += b.T @ d @ b * half * half
     return ke
 
 
@@ -92,8 +92,7 @@ def fem_energy_density(mesh: FEMesh, law: ElasticParams, u: np.ndarray) -> np.nd
     ke = element_stiffness(mesh.spacing, law)
     ue = u.ravel()[mesh.element_dofs]
     elem_energy = 0.5 * np.einsum("ea,ab,eb->e", ue, ke, ue)
-    vol = mesh.spacing**2 * law.thickness
-    density = elem_energy / vol
+    density = elem_energy / mesh.spacing**2
     n = len(mesh.nodes)
     corners = mesh.elements.T.ravel()
     w = np.bincount(corners, np.tile(density, 4), n)

@@ -1,9 +1,10 @@
 """Planar body geometry, lattice discretization, and horizon neighbor search.
 
 Lengths are in mm throughout. A body is a closed convex polygon with
-counterclockwise winding; the discretization is a uniform square lattice of
-nodes carrying fixed volumes (spacing**2 * thickness). All structures are
-plain immutable arrays once built, so distance/containment/ray queries can be
+counterclockwise winding, a sheet of unit thickness; the discretization is a
+uniform square lattice of nodes carrying fixed cell areas (spacing**2 in mm^2
+in the bulk), which serve as their volumes. All structures are plain
+immutable arrays once built, so distance/containment/ray queries can be
 issued concurrently.
 """
 
@@ -36,35 +37,34 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Domain:
-    """Convex polygonal body with a through-thickness used for volumes.
+    """Strictly convex polygonal body.
 
     ``vertices`` is an (V, 2) array in counterclockwise order; consecutive
     duplicate or collinear vertices are rejected so every edge has a
-    well-defined outward normal.
+    well-defined outward normal, and so is a star polygon, whose turns are
+    all positive but which winds more than once.
     """
 
     vertices: np.ndarray
-    thickness: float = 1.0
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
             raise GeometryError("polygon needs at least 3 planar vertices")
         object.__setattr__(self, "vertices", verts)
-        if self.thickness <= 0:
-            raise GeometryError("thickness must be positive")
         e = np.roll(verts, -1, axis=0) - verts
-        turn = _cross2(e, np.roll(e, -1, axis=0))
+        e_next = np.roll(e, -1, axis=0)
+        turn = _cross2(e, e_next)
         scale = np.max(np.abs(verts)) + 1.0
         if np.any(turn <= 1e-14 * scale**2):
             raise GeometryError("vertices must form a strictly convex CCW polygon")
-        area = 0.5 * np.sum(_cross2(verts, np.roll(verts, -1, axis=0)))
-        if area <= 0:
-            raise GeometryError("polygon area must be positive (CCW winding)")
+        # the exterior angles sum to 2 pi times the winding number
+        if np.sum(np.arctan2(turn, np.sum(e * e_next, axis=1))) >= 3.0 * np.pi:
+            raise GeometryError("vertices must form a strictly convex CCW polygon, "
+                                "not a star that winds more than once")
 
     @classmethod
-    def rectangle(cls, size_x: float, size_y: float, center=(0.0, 0.0),
-                  thickness: float = 1.0) -> "Domain":
+    def rectangle(cls, size_x: float, size_y: float, center=(0.0, 0.0)) -> "Domain":
         cx, cy = center
         hx, hy = 0.5 * size_x, 0.5 * size_y
         verts = np.array([
@@ -73,7 +73,7 @@ class Domain:
             [cx + hx, cy + hy],
             [cx - hx, cy + hy],
         ])
-        return cls(verts, thickness)
+        return cls(verts)
 
     def edge_vectors(self) -> np.ndarray:
         return np.roll(self.vertices, -1, axis=0) - self.vertices
@@ -187,6 +187,8 @@ class GridSpec:
 class NodeSet:
     """Meshfree discretization: positions, fixed volumes and role flags.
 
+    ``volumes`` are cell areas (mm^2), which are the volumes of the unit sheet.
+
     Distances to the body surface come from ``Domain.boundary_distance``.
     """
 
@@ -256,10 +258,9 @@ def _clip_cell_area(center: np.ndarray, spacing: float, domain: Domain) -> float
 def build_grid(domain: Domain, spec: GridSpec) -> NodeSet:
     """Keep the lattice points inside or on the body.
 
-    Each node carries the volume of its lattice cell clipped to the body
-    (thickness times the clipped area), so boundary rows of vertex-centered
-    grids carry their tributary half/quarter cells and the discretized
-    volume adds up to the body volume exactly.
+    Each node carries the area of its lattice cell clipped to the body, so
+    boundary rows of vertex-centered grids carry their tributary half/quarter
+    cells and the discretized area adds up to the body area exactly.
 
     Raises GeometryError when no lattice point intersects the domain.
     """
@@ -270,10 +271,10 @@ def build_grid(domain: Domain, spec: GridSpec) -> NodeSet:
         raise GeometryError("grid does not intersect the domain")
     bd = domain.boundary_distance(pts)
     roles = np.where(bd < 1e-7 * spec.spacing, ROLE_SURFACE, ROLE_INTERIOR).astype(np.uint8)
-    vol = np.full(len(pts), spec.spacing**2 * domain.thickness)
+    vol = np.full(len(pts), spec.spacing**2)
     near = bd < spec.spacing / np.sqrt(2.0)  # only these cells can be cut
     for idx in np.where(near)[0]:
-        vol[idx] = _clip_cell_area(pts[idx], spec.spacing, domain) * domain.thickness
+        vol[idx] = _clip_cell_area(pts[idx], spec.spacing, domain)
     return NodeSet(pts, vol, roles, spec.spacing)
 
 
@@ -288,9 +289,7 @@ def add_virtual_layers(nodes: NodeSet, domain: Domain, side: str, layers: int) -
         raise GeometryError("layers must be non-negative")
     if layers == 0:
         return nodes
-    if side not in SIDES:
-        raise GeometryError(f"unknown side {side!r}")
-    domain.side_edge_indices([side])  # raises for non-axis-aligned surfaces
+    domain.side_edge_indices([side])  # raises for unknown or non-axis-aligned sides
     axis, sign = SIDES[side]
     other = 1 - axis
     real = nodes.positions[nodes.real_mask]
@@ -302,7 +301,7 @@ def add_virtual_layers(nodes: NodeSet, domain: Domain, side: str, layers: int) -
     new_pts[:, axis] = np.repeat(extreme + sign * np.arange(1, layers + 1) * nodes.spacing,
                                  len(cols))
     new_pts[:, other] = np.tile(cols, layers)
-    vol = np.full(len(new_pts), nodes.spacing**2 * domain.thickness)
+    vol = np.full(len(new_pts), nodes.spacing**2)
     roles = np.full(len(new_pts), ROLE_VIRTUAL, dtype=np.uint8)
     return NodeSet(
         np.vstack([nodes.positions, new_pts]),
@@ -340,8 +339,6 @@ def build_bonds(nodes: NodeSet, horizon: float) -> BondTable:
         raise GeometryError("horizon must be positive")
     tree = cKDTree(nodes.positions)
     pairs = tree.query_pairs(horizon * (1 + 1e-12), output_type="ndarray")
-    if len(pairs) == 0:
-        pairs = np.empty((0, 2), dtype=np.intp)
     pairs = pairs[np.argsort(pairs[:, 0].astype(np.int64) * nodes.n + pairs[:, 1])]
     i = pairs[:, 0].astype(np.int32)
     j = pairs[:, 1].astype(np.int32)

@@ -49,11 +49,10 @@ class ElasticParams:
     """Isotropic reference constants; Poisson's ratio is fixed at ``POISSON``."""
 
     youngs_modulus: float          # MPa
-    thickness: float = 1.0         # mm
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0 or self.thickness <= 0:
-            raise ValueError("modulus and thickness must be positive")
+        if self.youngs_modulus <= 0:
+            raise ValueError("modulus must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ def calibrate_bulk(params: ElasticParams, profile_kind: str, horizon: float, mod
     h_xxxx = hooke_plane_stress(params).xxxx
     if mode == "continuum":
         radial = profile.radial_moment(horizon, horizon)
-        return 2.0 * h_xxxx / (params.thickness * radial * _ANGULAR_FOURTH_MOMENT)
+        return 2.0 * h_xxxx / (radial * _ANGULAR_FOURTH_MOMENT)
     if mode != "discrete":
         raise ValueError(f"unknown calibration mode {mode!r}")
     if spacing is None:
@@ -164,7 +163,7 @@ def calibrate_bulk(params: ElasticParams, profile_kind: str, horizon: float, mod
     r = np.linalg.norm(ij, axis=1) * spacing
     cos4 = (ij[:, 0] * spacing / r) ** 4
     lattice_sum = float(np.sum(profile.shape(r, horizon) * r * cos4)) * spacing**2
-    return 2.0 * h_xxxx / (params.thickness * lattice_sum)
+    return 2.0 * h_xxxx / lattice_sum
 
 
 def discrete_hooke(material: MaterialModel, spacing: float) -> HookeTensor:
@@ -176,10 +175,10 @@ def discrete_hooke(material: MaterialModel, spacing: float) -> HookeTensor:
     ij = lattice_offsets(material.horizon, spacing)
     r = np.linalg.norm(ij, axis=1) * spacing
     e = ij * spacing / r[:, None]
-    w = material.bond_amplitude(r) * r * spacing**2 * material.elastic.thickness
+    w = material.bond_amplitude(r) * r * spacing**2
     # H = 1/2 * sum of c_b * xi * (e x e x e x e) * V over neighbors
-    xxxx = 0.5 * np.sum(w * e[:, 0] ** 4) / material.elastic.thickness
-    xxyy = 0.5 * np.sum(w * e[:, 0] ** 2 * e[:, 1] ** 2) / material.elastic.thickness
+    xxxx = 0.5 * np.sum(w * e[:, 0] ** 4)
+    xxyy = 0.5 * np.sum(w * e[:, 0] ** 2 * e[:, 1] ** 2)
     return HookeTensor(xxxx=float(xxxx), xxyy=float(xxyy), xyxy=float(xxyy))
 
 

@@ -181,14 +181,12 @@ def _operator_reach(positions: np.ndarray, k: sp.spmatrix) -> np.ndarray:
     k = sp.csr_matrix(k)
     rows = np.flatnonzero(np.diff(k.indptr))
     reach = np.zeros(2)
-    if len(rows) == 0:
-        return reach
     starts = k.indptr[rows]
     for a in (0, 1):
         x = np.repeat(positions[:, a], 2)  # per dof
         xc, xr = x[k.indices], x[rows]
-        reach[a] = max(np.abs(np.maximum.reduceat(xc, starts) - xr).max(),
-                       np.abs(xr - np.minimum.reduceat(xc, starts)).max())
+        reach[a] = max(np.abs(np.maximum.reduceat(xc, starts) - xr).max(initial=0.0),
+                       np.abs(xr - np.minimum.reduceat(xc, starts)).max(initial=0.0))
         del xc  # one axis's column positions alive at a time, each as long as K
     return reach
 

@@ -53,6 +53,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("tension", overrides={"variants": ("fem",)})
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: load_config("nope"), "unknown experiment 'nope'"),
+        (lambda: bench_cli.ExperimentConfig("nope", (), 1.0, 1.0, 0.5, 1.0).validate(),
+         "unknown experiment 'nope'"),
+        (lambda: load_config("tension", overrides={"bogus": 1.0}), "bogus"),
+    ], ids=["unknown-experiment", "validate-unknown-experiment", "unknown-override"])
+    def test_refusals(self, call, message):
+        with pytest.raises(ConfigError, match=message):
+            call()
+
     def test_no_experiment_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("spacing = 2.0\n")
@@ -248,7 +258,8 @@ class TestMainExitCodes:
         ("tension", "size_x = 9\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\n"),
         ("tension", "youngs_modulus = 0\n"),
         ("calibrate", "youngs_modulus = -1\n"),
-        ("tension", "thickness = 0\n"),
+        # every body is a sheet of unit thickness
+        ("tension", "thickness = 1.0\n"),
         ("tension", "spacing = 1.0\nhorizon = 0.5\n"),
         # a conical micromodulus vanishes at the horizon, so the discrete
         # calibration of a nearest-neighbour lattice divides by zero
@@ -296,7 +307,7 @@ class TestMainExitCodes:
         ("tension", "dump_bonds = maybe\n"),
         ("tension", "spacing 1.0\n"),
     ], ids=["tension-empty-edge", "tension-no-axis", "zero-modulus",
-            "negative-modulus", "zero-thickness", "spacing-over-horizon",
+            "negative-modulus", "thickness-is-not-a-key", "spacing-over-horizon",
             "spacing-at-horizon", "clamped-not-square", "clamped-fem-off-grid",
             "clamped-empty-edge", "indent-empty-edge", "indent-zero-radius",
             "indent-zero-depth", "indent-depth-over-radius", "indent-depth-at-radius",
@@ -309,7 +320,10 @@ class TestMainExitCodes:
         p = tmp_path / "bad.cfg"
         p.write_text(text)
         assert main([experiment, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        if text.startswith("thickness"):
+            assert err.endswith(": unknown config key 'thickness'\n")
 
     @pytest.mark.parametrize("experiment, text", [
         ("tension", "size_x = 10\nsize_y = 20\nspacing = 1.0\nhorizon = 3.0\n"),

@@ -62,6 +62,14 @@ class TestDomain:
         with pytest.raises(GeometryError):
             Domain(verts)
 
+    @pytest.mark.parametrize("n, step", [(5, 2), (7, 2)], ids=["pentagram", "heptagram"])
+    def test_rejects_star_polygon(self, n, step):
+        # every turn is a positive left turn, but the boundary winds twice
+        angles = np.pi / 2 + 2 * np.pi * step * np.arange(n) / n
+        verts = 10.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        with pytest.raises(GeometryError, match="winds more than once"):
+            Domain(verts)
+
     def test_side_edge_lookup(self):
         dom = Domain.rectangle(2, 2)
         normals = dom.outward_normals()
@@ -100,12 +108,12 @@ class TestBuildGrid:
             geo.build_grid(dom, GridSpec(0.5, (0.0, 0.0), (2, 2)))
 
     def test_tributary_volumes_sum_to_body_volume(self):
-        # vertex-centered cells are clipped, so the discretized volume is exact
-        dom = Domain.rectangle(50, 100, thickness=2.0)
+        # vertex-centered cells are clipped, so the discretized area is exact
+        dom = Domain.rectangle(50, 100)
         nodes = geo.build_grid(dom, GridSpec.covering(dom, 1.0))
-        assert nodes.volumes.sum() == pytest.approx(50 * 100 * 2.0, rel=1e-12)
+        assert nodes.volumes.sum() == pytest.approx(50 * 100, rel=1e-12)
         corner = np.argmin(np.linalg.norm(nodes.positions - [-25, -50], axis=1))
-        assert nodes.volumes[corner] == pytest.approx(0.25 * 1.0**2 * 2.0)
+        assert nodes.volumes[corner] == pytest.approx(0.25 * 1.0**2)
 
     def test_cell_centered_volumes_full(self):
         dom = Domain.rectangle(4, 4)
@@ -161,6 +169,27 @@ class TestVirtualLayers:
         nodes = geo.build_grid(tri, GridSpec(0.5, (0.5, 0.5), (6, 4)))
         with pytest.raises(GeometryError):
             geo.add_virtual_layers(nodes, tri, "+y", 1)
+
+
+def _sheet():
+    """(nodes, domain) of a 2 mm square at unit spacing."""
+    dom = Domain.rectangle(2, 2)
+    return geo.build_grid(dom, GridSpec.covering(dom, 1.0)), dom
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Domain(np.array([[0.0, 0.0], [1.0, 0.0]])), "at least 3 planar vertices"),
+    (lambda: Domain.rectangle(2, 2).side_edge_indices(["+z"]), r"unknown side '\+z'"),
+    (lambda: GridSpec(0.0, (0.0, 0.0), (2, 2)), "spacing must be positive"),
+    (lambda: GridSpec(1.0, (0, 0), (0, 2)), "at least 1 per axis"),
+    (lambda: geo.add_virtual_layers(*_sheet(), "+y", -1), "layers must be non-negative"),
+    (lambda: geo.add_virtual_layers(*_sheet(), "+z", 1), r"unknown side '\+z'"),
+    (lambda: geo.build_bonds(_sheet()[0], 0.0), "horizon must be positive"),
+], ids=["two-vertices", "unknown-side", "zero-spacing", "zero-count", "negative-layers",
+        "layers-on-unknown-side", "zero-horizon"])
+def test_refusals(call, message):
+    with pytest.raises(GeometryError, match=message):
+        call()
 
 
 class TestBuildBonds:

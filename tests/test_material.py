@@ -11,10 +11,9 @@ from pdsc.material import (ElasticParams, MaterialModel, MicromodulusProfile,
                            calibrate_bulk, correction_factors, hooke_plane_stress)
 
 E = 1000.0
-T = 1.0
 
 
-def disk_energy_quadrature(c0, profile_kind, horizon, thickness, strain,
+def disk_energy_quadrature(c0, profile_kind, horizon, strain,
                            n_r=2000, n_t=4000):
     """Polar-grid quadrature of the neighborhood energy of a bulk point.
 
@@ -30,39 +29,39 @@ def disk_energy_quadrature(c0, profile_kind, horizon, thickness, strain,
             + ey * (strain[1, 0] * ex + strain[1, 1] * ey))
     integrand = c0 * profile.shape(rr, horizon) * rr * proj**2 * rr
     da = (horizon / n_r) * (2 * np.pi / n_t)
-    return 0.25 * thickness * integrand.sum() * da
+    return 0.25 * integrand.sum() * da
 
 
 class TestContinuumCalibration:
     def test_constant_profile_closed_form(self):
         horizon = 5.0
-        c0 = calibrate_bulk(ElasticParams(E, T), "constant", horizon, "continuum")
-        assert c0 == pytest.approx(9 * E / (np.pi * T * horizon**3), rel=1e-12)
+        c0 = calibrate_bulk(ElasticParams(E), "constant", horizon, "continuum")
+        assert c0 == pytest.approx(9 * E / (np.pi * horizon**3), rel=1e-12)
 
     def test_conical_is_four_times_constant(self):
         horizon = 5.0
-        cc = calibrate_bulk(ElasticParams(E, T), "constant", horizon, "continuum")
-        assert calibrate_bulk(ElasticParams(E, T), "conical", horizon,
+        cc = calibrate_bulk(ElasticParams(E), "constant", horizon, "continuum")
+        assert calibrate_bulk(ElasticParams(E), "conical", horizon,
                               "continuum") == pytest.approx(4 * cc, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["constant", "conical"])
     def test_uniaxial_energy_matches_quadrature(self, kind):
         horizon = 2.0
-        params = ElasticParams(E, T)
+        params = ElasticParams(E)
         c0 = calibrate_bulk(params, kind, horizon, "continuum")
         eps = np.array([[1e-3, 0.0], [0.0, 0.0]])
-        w = disk_energy_quadrature(c0, kind, horizon, T, eps)
+        w = disk_energy_quadrature(c0, kind, horizon, eps)
         expected = hooke_plane_stress(params).energy_density(eps)
         assert w == pytest.approx(expected, rel=1e-5)
 
     def test_shear_energy_consistent_with_cauchy_relation(self):
         # with nu = 1/3 the same c0 must reproduce the shear modulus 3E/8
         horizon = 2.0
-        params = ElasticParams(E, T)
+        params = ElasticParams(E)
         c0 = calibrate_bulk(params, "constant", horizon, "continuum")
         gamma = 2e-3
         eps = np.array([[0.0, gamma / 2], [gamma / 2, 0.0]])
-        w = disk_energy_quadrature(c0, "constant", horizon, T, eps)
+        w = disk_energy_quadrature(c0, "constant", horizon, eps)
         mu = 3 * E / 8
         assert w == pytest.approx(0.5 * mu * gamma**2, rel=1e-5)
 
@@ -70,16 +69,16 @@ class TestContinuumCalibration:
 class TestDiscreteCalibration:
     def test_within_two_percent_of_continuum_at_m6(self):
         horizon = 1.0
-        cd = calibrate_bulk(ElasticParams(E, T), "constant", horizon, "discrete",
+        cd = calibrate_bulk(ElasticParams(E), "constant", horizon, "discrete",
                             horizon / 6)
-        cc = calibrate_bulk(ElasticParams(E, T), "constant", horizon, "continuum")
+        cc = calibrate_bulk(ElasticParams(E), "constant", horizon, "continuum")
         assert abs(cd / cc - 1) < 0.02
 
     def test_uniaxial_lattice_energy_exact(self):
         # the lattice sum reproduces the plane-stress uniaxial-strain energy
         # identically; that is the definition of the discrete mode
         horizon, spacing = 1.0, 1 / 6
-        params = ElasticParams(E, T)
+        params = ElasticParams(E)
         m = MaterialModel.calibrated(params, horizon, "constant", "discrete", spacing)
         lattice = mat.discrete_hooke(m, spacing)
         assert lattice.xxxx == pytest.approx(hooke_plane_stress(params).xxxx,
@@ -87,13 +86,31 @@ class TestDiscreteCalibration:
 
     def test_requires_spacing(self):
         with pytest.raises(ValueError):
-            calibrate_bulk(ElasticParams(E, T), "constant", 1.0, "discrete")
+            calibrate_bulk(ElasticParams(E), "constant", 1.0, "discrete")
 
     def test_effective_constants_reduce_to_isotropic(self):
         h = mat.HookeTensor(xxxx=9 * E / 8, xxyy=3 * E / 8, xyxy=3 * E / 8)
         e_eff, nu_eff = mat.effective_constants(h)
         assert e_eff == pytest.approx(E, rel=1e-12)
         assert nu_eff == pytest.approx(1 / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ElasticParams(0.0), "modulus must be positive"),
+    (lambda: MicromodulusProfile("cone"), "unknown micro-modulus profile 'cone'"),
+    (lambda: calibrate_bulk(ElasticParams(E), "constant", 0.0, "continuum"),
+     "horizon must be positive"),
+    (lambda: calibrate_bulk(ElasticParams(E), "constant", 1.0, "exact", 0.5),
+     "unknown calibration mode 'exact'"),
+    # a zero horizon truncates every ray to zero length
+    (lambda: correction_factors(np.zeros((1, 2)), np.array([[1.0, 0.0]]),
+                                Domain.rectangle(2, 2), 0.0, MicromodulusProfile()),
+     "non-positive truncated length"),
+], ids=["zero-modulus", "unknown-profile", "zero-horizon", "unknown-mode",
+        "zero-horizon-correction"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestCorrectionFactor:
@@ -155,7 +172,7 @@ class TestCorrectBonds:
         dom = Domain.rectangle(60, 60)
         nodes = geo.build_grid(dom, GridSpec.covering(dom, 1.0))
         bonds = geo.build_bonds(nodes, horizon)
-        m = MaterialModel.calibrated(ElasticParams(E, T), horizon, "constant",
+        m = MaterialModel.calibrated(ElasticParams(E), horizon, "constant",
                                      "discrete", 1.0)
         corr = mat.correct_bonds(bonds, nodes, dom, m, surfaces)
         return nodes, bonds, m, corr
@@ -205,7 +222,7 @@ class TestCorrectBonds:
         nodes = geo.build_grid(dom, GridSpec.cell_centered(dom, 1 / 6))
         nodes = geo.add_virtual_layers(nodes, dom, "+y", 6)
         bonds = geo.build_bonds(nodes, horizon)
-        m = MaterialModel.calibrated(ElasticParams(E, T), horizon, "constant",
+        m = MaterialModel.calibrated(ElasticParams(E), horizon, "constant",
                                      "discrete", 1 / 6)
         corr = mat.correct_bonds(bonds, nodes, dom, m, ("-x", "+x"))
         virt_i = nodes.virtual_mask[bonds.i]
@@ -263,7 +280,7 @@ class TestRayScreen:
         horizon = 1.5
         dom, nodes, surfaces = _screen_case(case)
         bonds = geo.build_bonds(nodes, horizon)
-        m = MaterialModel.calibrated(ElasticParams(E, T), horizon, kind, "discrete", 0.5)
+        m = MaterialModel.calibrated(ElasticParams(E), horizon, kind, "discrete", 0.5)
         phi_i, phi_j, coeff = _unscreened(bonds, nodes, dom, m, surfaces)
         rays = []
         cast = mat.truncated_lengths
@@ -281,7 +298,7 @@ class TestRayScreen:
         depth = dom.boundary_distance(nodes.positions)
         assert np.sum(depth == horizon) > 0
         bonds = geo.build_bonds(nodes, horizon)
-        m = MaterialModel.calibrated(ElasticParams(E, T), horizon, "constant",
+        m = MaterialModel.calibrated(ElasticParams(E), horizon, "constant",
                                      "discrete", 0.5)
         origins = []
         cast = mat.truncated_lengths
@@ -295,7 +312,7 @@ class TestRayScreen:
     def test_no_surfaces_is_unscaled(self):
         dom, nodes, _ = _screen_case("rectangle")
         bonds = geo.build_bonds(nodes, 1.5)
-        m = MaterialModel.calibrated(ElasticParams(E, T), 1.5, "constant", "discrete", 0.5)
+        m = MaterialModel.calibrated(ElasticParams(E), 1.5, "constant", "discrete", 0.5)
         corr = mat.correct_bonds(bonds, nodes, dom, m, ())
         assert np.all(corr.phi_i == 1.0) and np.all(corr.phi_j == 1.0)
         assert np.array_equal(corr.coeff, corr.bulk)
@@ -308,7 +325,7 @@ class TestRayScreen:
                           np.append(nodes.roles, geo.ROLE_INTERIOR).astype(np.uint8),
                           nodes.spacing)
         bonds = geo.build_bonds(out, 1.5)
-        m = MaterialModel.calibrated(ElasticParams(E, T), 1.5, "constant", "discrete", 0.5)
+        m = MaterialModel.calibrated(ElasticParams(E), 1.5, "constant", "discrete", 0.5)
         with pytest.raises(geo.GeometryError, match="ray origin lies outside the domain"):
             mat.correct_bonds(bonds, out, dom, m, ("-x", "+x"))
 
@@ -319,7 +336,7 @@ class TestRayScreen:
         nodes = geo.add_virtual_layers(
             geo.build_grid(dom, GridSpec.cell_centered(dom, 0.5)), dom, "+y", 3)
         bonds = geo.build_bonds(nodes, 1.5)
-        m = MaterialModel.calibrated(ElasticParams(E, T), 1.5, "constant", "discrete", 0.5)
+        m = MaterialModel.calibrated(ElasticParams(E), 1.5, "constant", "discrete", 0.5)
         for surfaces in (None, ("-x", "+x")):  # the shipped virtual variants
             mat.correct_bonds(bonds, nodes, dom, m, surfaces)
         with pytest.raises(geo.GeometryError, match="truncated horizon shorter than a bond"):
@@ -334,7 +351,7 @@ class TestSurfaceSoftening:
         dom = Domain.rectangle(8, 4)
         nodes = geo.build_grid(dom, GridSpec.covering(dom, spacing))
         bonds = geo.build_bonds(nodes, horizon)
-        m = MaterialModel.calibrated(ElasticParams(E, T), horizon, "constant",
+        m = MaterialModel.calibrated(ElasticParams(E), horizon, "constant",
                                      "discrete", spacing)
         corr = mat.correct_bonds(bonds, nodes, dom, m, None)
         eps = np.array([[0.0, 0.0], [0.0, 1e-3]])

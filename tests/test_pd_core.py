@@ -37,7 +37,7 @@ def small_model(nx=6, ny=6, spacing=1.0, horizon=2.5, surfaces="all"):
     dom = Domain.rectangle((nx - 1) * spacing, (ny - 1) * spacing)
     nodes = geo.build_grid(dom, GridSpec.covering(dom, spacing))
     bonds = geo.build_bonds(nodes, horizon)
-    m = MaterialModel.calibrated(ElasticParams(E, 1.0), horizon, "constant",
+    m = MaterialModel.calibrated(ElasticParams(E), horizon, "constant",
                                  "discrete", spacing)
     corr = mat.correct_bonds(bonds, nodes, dom, m, surfaces)
     k = pd_core.assemble(nodes, bonds, corr)
@@ -83,7 +83,7 @@ def _assembly_case(case):
         for side in ("+y", "-y"):
             nodes = geo.add_virtual_layers(nodes, dom, side, 6)
         bonds = geo.build_bonds(nodes, 1.0)
-        m = MaterialModel.calibrated(ElasticParams(E, 1.0), 1.0, "constant",
+        m = MaterialModel.calibrated(ElasticParams(E), 1.0, "constant",
                                      "discrete", 1 / 6)
         return nodes, bonds, mat.correct_bonds(bonds, nodes, dom, m, ("-x", "+x"))
     if case == "empty":
@@ -941,7 +941,7 @@ class TestIndentationRamp:
         dom = Domain.rectangle(width, 8)
         nodes = geo.build_grid(dom, GridSpec.covering(dom, spacing))
         bonds = geo.build_bonds(nodes, horizon)
-        m = MaterialModel.calibrated(ElasticParams(E, 1.0), horizon, "constant",
+        m = MaterialModel.calibrated(ElasticParams(E), horizon, "constant",
                                      "discrete", spacing)
         corr = mat.correct_bonds(bonds, nodes, dom, m, surfaces)
         k = pd_core.assemble(nodes, bonds, corr)
